@@ -9,16 +9,18 @@ import (
 )
 
 // This file holds the batch-at-a-time kernels: for every table type a
-// monomorphized BuildBatch, LookupBatch and fused ProbeJoinBatch that
-// process up to BatchSize tuples per call. Hashes for the whole batch
-// are computed up front through the table's resolved hashfn.BatchFunc
-// (no per-key indirect call), and the probe kernels walk their buckets
-// in an AMAC-style interleaved state machine (Kocberber et al., VLDB
-// 2015): a gather pass issues one independent memory access per lane
-// back-to-back, so an out-of-order core overlaps the cache misses of up
-// to BatchSize probes instead of serializing them behind one pointer
-// chase; subsequent rounds advance only the surviving lanes, compacted
-// with indexed writes, never append.
+// monomorphized BuildBatch and LookupBatch that process up to BatchSize
+// tuples per call, plus ProbeJoinBatch, which is LookupBatch followed by
+// the shared compactMatches (ArrayTable alone keeps a fused kernel: its
+// lookup is one load, so the extra pass would be most of its cost).
+// Hashes for the whole batch are computed up front through the table's
+// resolved hashfn.BatchFunc (no per-key indirect call), and the probe
+// kernels walk their buckets in an AMAC-style interleaved state machine
+// (Kocberber et al., VLDB 2015): a gather pass issues one independent
+// memory access per lane back-to-back, so an out-of-order core overlaps
+// the cache misses of up to BatchSize probes instead of serializing them
+// behind one pointer chase; subsequent rounds advance only the surviving
+// lanes, compacted with indexed writes, never append.
 //
 // Bounds-check elimination discipline: every per-lane scratch buffer is
 // re-sliced to the batch length n before the lane loops, table arrays
@@ -29,7 +31,9 @@ import (
 // All kernels are semantically equivalent to their scalar counterparts
 // run tuple-at-a-time in batch order; LookupBatch and ProbeJoinBatch
 // mirror Lookup's first-match semantics exactly, so a probe batch of n
-// keys emits at most n matches.
+// keys emits at most n matches. Like Lookup, LookupBatch also marks the
+// entry it hits once EnableMatchTracking has been called (see mark.go),
+// so each design has exactly one batch probe walk.
 
 // BatchSize is the number of tuples processed per batch kernel call.
 // 256 lanes keep every per-lane state array comfortably inside L1
@@ -54,11 +58,13 @@ type BatchScratch struct {
 	hashes *[BatchSize]uint64
 	slots  *[BatchSize]uint64
 	lanes  *[BatchSize]int32
-	lanes2 *[BatchSize]int32
 	biased *[BatchSize]uint32
 	curk   *[BatchSize]uint32
 	dists  *[BatchSize]uint8
 	bptrs  *[BatchSize]*chainedBucket
+	// Per-lane LookupBatch outputs that ProbeJoinBatch compacts.
+	hitPays  *[BatchSize]tuple.Payload
+	hitFound *[BatchSize]bool
 }
 
 //
@@ -89,16 +95,6 @@ func (s *BatchScratch) laneBuf() *[BatchSize]int32 {
 		s.lanes = new([BatchSize]int32)
 	}
 	return s.lanes
-}
-
-//
-//mmjoin:hotpath
-//go:noinline
-func (s *BatchScratch) laneBuf2() *[BatchSize]int32 {
-	if s.lanes2 == nil {
-		s.lanes2 = new([BatchSize]int32)
-	}
-	return s.lanes2
 }
 
 //
@@ -141,7 +137,20 @@ func (s *BatchScratch) bucketBuf() *[BatchSize]*chainedBucket {
 	return s.bptrs
 }
 
-// MatchBatch receives the output of a fused ProbeJoinBatch call:
+//
+//mmjoin:hotpath
+//go:noinline
+func (s *BatchScratch) hitBufs() (*[BatchSize]tuple.Payload, *[BatchSize]bool) {
+	if s.hitPays == nil {
+		s.hitPays = new([BatchSize]tuple.Payload)
+	}
+	if s.hitFound == nil {
+		s.hitFound = new([BatchSize]bool)
+	}
+	return s.hitPays, s.hitFound
+}
+
+// MatchBatch receives the output of a ProbeJoinBatch call:
 // parallel build/probe payload arrays with N valid entries. Because the
 // probe kernels mirror Lookup's at-most-one-match semantics, N never
 // exceeds the probe batch length, so fixed [BatchSize] arrays hold any
@@ -185,11 +194,13 @@ func checkBatch(n int) {
 // Kernels run it on every caller-supplied slice before re-slicing to
 // the batch length, which both reports misuse with a message instead of
 // a raw index panic and lets the prove pass drop the re-slice check.
+// The comparison is unsigned so a negative n fails too, which proves
+// 0 <= n for lane counts that do not come from a len.
 //
 //mmjoin:hotpath
 //mmjoin:inline
 func checkSpan(have, n int) {
-	if have < n {
+	if uint(have) < uint(n) {
 		//mmjoin:allow(hotalloc) cold failure path: the boxed panic argument only materializes on kernel misuse
 		panic("hashtable: batch buffer shorter than the key batch")
 	}
@@ -210,6 +221,59 @@ func clearBatchOutputs(payloads []tuple.Payload, found []bool) {
 	}
 	for i := range found {
 		found[i] = false
+	}
+}
+
+// compactMatches is the second half of ProbeJoinBatch: it packs the hit
+// lanes of a LookupBatch result (build payloads and found flags for the
+// first n lanes) with their probe payloads into out. Every lane is
+// written at the cursor, which advances only on a hit, so the loop has
+// no data-dependent branch to mispredict on miss-heavy probes.
+//
+//mmjoin:hotpath
+//mmjoin:noescape
+//mmjoin:bce
+func compactMatches(build *[BatchSize]tuple.Payload, found *[BatchSize]bool, probePayloads []tuple.Payload, n int, out *MatchBatch) {
+	checkBatch(n)
+	checkSpan(len(probePayloads), n)
+	probePayloads = probePayloads[:n]
+	bp, pp := out.bufs()
+	m := 0
+	for li := 0; li < n; li++ {
+		bp[m&(BatchSize-1)] = build[li]
+		pp[m&(BatchSize-1)] = probePayloads[li]
+		m += b2i(found[li])
+	}
+	out.N = m
+}
+
+// b2i converts a flag to 0/1; the compiler lowers it to a zero-extending
+// byte load, not a branch.
+//
+//mmjoin:inline
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// markSlots is the tracking pass of the linear and Robin Hood
+// LookupBatch walks: a hit lane's slot cursor stops on the slot it hit,
+// so marking after the walk keeps the walk free of tracking code. It
+// stays out of line so its allowed mark-index check is not reported at
+// the callers.
+//
+//mmjoin:hotpath
+//mmjoin:noescape
+//mmjoin:bce
+//go:noinline
+func markSlots(matched []uint64, found []bool, slots *[BatchSize]uint64, mask uint64) {
+	for li, hit := range found {
+		if hit {
+			//mmjoin:allow(perfgate) setMark's inlined word index i>>6 divides the slot invariant through a shift prove cannot follow
+			setMark(matched, int(slots[li&(BatchSize-1)]&mask))
+		}
 	}
 }
 
@@ -286,9 +350,14 @@ func (t *ChainedTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.P
 		t.lock(head)
 		b := head
 		for {
-			cnt := int(b.meta & chainedCountMask)
+			// The head's meta holds the latch other builders CAS on, so it
+			// is only ever read atomically; overflow buckets are reached
+			// only under the head latch and are read plainly.
+			var cnt int
 			if b == head {
 				cnt = int(atomic.LoadUint32(&b.meta) & chainedCountMask)
+			} else {
+				cnt = int(b.meta & chainedCountMask)
 			}
 			if cnt < chainedBucketTuples {
 				b.tuples[cnt&(chainedBucketTuples-1)] = tuple.Tuple{Key: keys[li], Payload: payloads[li]}
@@ -310,9 +379,11 @@ func (t *ChainedTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.P
 }
 
 // LookupBatch looks up every key of the batch, writing payloads[i] and
-// found[i]; equivalent to Lookup per key. Chains are walked one bucket
-// per round across all still-active lanes, overlapping the dependent
-// loads of different probes.
+// found[i]; equivalent to Lookup per key, marks included. Chains are
+// walked one bucket per round across all still-active lanes, overlapping
+// the dependent loads of different probes. meta is always loaded
+// atomically: concurrent probers of a tracking table OR mark bits into
+// it (a plain MOV on amd64 all the same).
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -352,7 +423,7 @@ func (t *ChainedTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads [
 		}
 		b := &buckets[h[li]&mask]
 		ptrs[li] = b
-		slots[li] = uint64(b.meta)
+		slots[li] = uint64(atomic.LoadUint32(&b.meta))
 	}
 	// Round 0 runs on warm lines with the pre-loaded meta. A surviving
 	// lane's next overflow bucket is prefetched the moment its link is
@@ -397,7 +468,7 @@ func (t *ChainedTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads [
 				continue
 			}
 			b := ptrs[li]
-			cnt := int(b.meta & chainedCountMask)
+			cnt := int(atomic.LoadUint32(&b.meta) & chainedCountMask)
 			hit := false
 			for i := 0; i < cnt; i++ {
 				if b.tuples[i&(chainedBucketTuples-1)].Key == keys[li] {
@@ -420,103 +491,34 @@ func (t *ChainedTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads [
 		}
 		nn = na
 	}
-}
-
-// ProbeJoinBatch fuses LookupBatch with match emission: for every probe
-// key with a (first) match, the pair of build payload and probe payload
-// is appended to out. out.N is reset on entry.
-//
-//mmjoin:hotpath
-//mmjoin:noescape
-//mmjoin:bce
-func (t *ChainedTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
-	n := len(keys)
-	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
-	ptrs := s.bucketBuf()
-	lanes := s.laneBuf()
-	slots := s.slotBuf()
-	bp, pp := out.bufs()
-	buckets := t.buckets
-	if len(buckets) == 0 {
-		out.N = 0
-		return
-	}
-	mask := uint64(len(buckets) - 1)
-	arena := t.arena
-	pfd := prefetchDist()
-	checkSpan(len(probePayloads), n)
-	probePayloads = probePayloads[:n]
-	// Gather pass: see LookupBatch (including the pfd-ahead prefetch).
-	for li := 0; li < n; li++ {
-		if p := li + pfd; pfd > 0 && p < n {
-			pf(unsafe.Pointer(&buckets[h[p&(BatchSize-1)]&mask]))
-		}
-		b := &buckets[h[li]&mask]
-		ptrs[li] = b
-		slots[li] = uint64(b.meta)
-	}
-	nn := 0
-	m := 0
-	// Round 0 on warm lines.
-	for li := 0; li < n; li++ {
-		b := ptrs[li]
-		cnt := int(uint32(slots[li]) & chainedCountMask)
-		hit := false
-		for i := 0; i < cnt; i++ {
-			if b.tuples[i&(chainedBucketTuples-1)].Key == keys[li] {
-				bp[m&(BatchSize-1)] = b.tuples[i&(chainedBucketTuples-1)].Payload
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-				hit = true
-				break
-			}
-		}
-		if nx := b.next; !hit && nx != 0 {
-			//mmjoin:allow(perfgate) nx is a 1-based link into the overflow arena, in range by construction; prove cannot see the link invariant
-			nb := &arena[nx-1]
-			if pfd > 0 {
-				pf(unsafe.Pointer(nb))
-			}
-			ptrs[li] = nb
-			lanes[nn&(BatchSize-1)] = int32(li)
-			nn++
-		}
-	}
-	for nn > 0 {
-		na := 0
-		for a := 0; a < nn; a++ {
-			li := int(lanes[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
+	// A hit lane's bucket pointer stops on the bucket it hit, so
+	// tracking marks in a pass of its own, outside the walk.
+	if t.tracking {
+		for li := 0; li < n; li++ {
+			if !found[li] {
 				continue
 			}
 			b := ptrs[li]
-			cnt := int(b.meta & chainedCountMask)
-			hit := false
+			cnt := int(atomic.LoadUint32(&b.meta) & chainedCountMask)
 			for i := 0; i < cnt; i++ {
 				if b.tuples[i&(chainedBucketTuples-1)].Key == keys[li] {
-					bp[m&(BatchSize-1)] = b.tuples[i&(chainedBucketTuples-1)].Payload
-					pp[m&(BatchSize-1)] = probePayloads[li]
-					m++
-					hit = true
+					atomic.OrUint32(&b.meta, chainedMarkBit0<<uint(i))
 					break
 				}
 			}
-			if nx := b.next; !hit && nx != 0 {
-				//mmjoin:allow(perfgate) nx is a 1-based link into the overflow arena, in range by construction; prove cannot see the link invariant
-				nb := &arena[nx-1]
-				if pfd > 0 {
-					pf(unsafe.Pointer(nb))
-				}
-				ptrs[li] = nb
-				lanes[na&(BatchSize-1)] = int32(li)
-				na++
-			}
 		}
-		nn = na
 	}
-	out.N = m
+}
+
+// ProbeJoinBatch is LookupBatch plus compactMatches: the matches of
+// the batch land in out, which it resets.
+//
+//mmjoin:hotpath
+//mmjoin:noescape
+func (t *ChainedTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
+	pays, found := s.hitBufs()
+	t.LookupBatch(keys, s, pays[:], found[:])
+	compactMatches(pays, found, probePayloads, len(keys), out)
 }
 
 // ---------------------------------------------------------------------
@@ -607,8 +609,9 @@ func (t *LinearTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Pa
 }
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
-// key. All active lanes advance one probe per round, so the slot loads
-// of up to BatchSize independent probe sequences are in flight at once.
+// key, marks included. All active lanes advance one probe per round, so
+// the slot loads of up to BatchSize independent probe sequences are in
+// flight at once.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -694,88 +697,20 @@ func (t *LinearTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []
 		}
 		nn = na
 	}
+	if len(t.matched) != 0 {
+		markSlots(t.matched, found, slots, mask)
+	}
 }
 
-// ProbeJoinBatch fuses LookupBatch with match emission into out.
+// ProbeJoinBatch is LookupBatch plus compactMatches: the matches of
+// the batch land in out, which it resets.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
-//mmjoin:bce
 func (t *LinearTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
-	n := len(keys)
-	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
-	slots := s.slotBuf()
-	biased := s.keyBuf()
-	lanes := s.laneBuf()
-	curk := s.curkBuf()
-	bp, pp := out.bufs()
-	tk := t.keys
-	if len(tk) == 0 {
-		out.N = 0
-		return
-	}
-	checkSpan(len(t.payloads), len(tk))
-	tp := t.payloads[:len(tk)]
-	mask := uint64(len(tk) - 1)
-	checkSpan(len(probePayloads), n)
-	probePayloads = probePayloads[:n]
-	pfd := prefetchDist()
-	// Gather pass: see LookupBatch (including the pfd-ahead prefetch).
-	for li := 0; li < n; li++ {
-		if p := li + pfd; pfd > 0 && p < n {
-			pf(unsafe.Pointer(&tk[h[p&(BatchSize-1)]&mask]))
-		}
-		i := h[li] & mask
-		slots[li] = i
-		curk[li] = tk[i&mask]
-	}
-	nn := 0
-	m := 0
-	// Round 0 resolves from the gathered keys.
-	for li := 0; li < n; li++ {
-		cur := curk[li]
-		bk := uint32(keys[li]) + 1
-		if cur == bk {
-			bp[m&(BatchSize-1)] = tp[slots[li]&mask]
-			pp[m&(BatchSize-1)] = probePayloads[li]
-			m++
-			continue
-		}
-		if cur == 0 {
-			continue
-		}
-		slots[li] = (slots[li] + 1) & mask
-		biased[li] = bk
-		lanes[nn&(BatchSize-1)] = int32(li)
-		nn++
-	}
-	for round := uint64(0); nn > 0 && round < mask; round++ {
-		na := 0
-		for a := 0; a < nn; a++ {
-			li := int(lanes[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
-				continue
-			}
-			i := slots[li] & mask
-			cur := tk[i&mask]
-			if cur == biased[li] {
-				bp[m&(BatchSize-1)] = tp[i&mask]
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-				continue
-			}
-			if cur == 0 {
-				continue
-			}
-			slots[li] = (i + 1) & mask
-			lanes[na&(BatchSize-1)] = int32(li)
-			na++
-		}
-		nn = na
-	}
-	out.N = m
+	pays, found := s.hitBufs()
+	t.LookupBatch(keys, s, pays[:], found[:])
+	compactMatches(pays, found, probePayloads, len(keys), out)
 }
 
 // ---------------------------------------------------------------------
@@ -838,7 +773,7 @@ func (t *RobinHoodTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, 
 }
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
-// key, including the Robin Hood distance early-exit.
+// key, including the Robin Hood distance early-exit and the marks.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -930,98 +865,20 @@ func (t *RobinHoodTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads
 		}
 		nn = na
 	}
+	if len(t.matched) != 0 {
+		markSlots(t.matched, found, slots, mask)
+	}
 }
 
-// ProbeJoinBatch fuses LookupBatch with match emission into out.
+// ProbeJoinBatch is LookupBatch plus compactMatches: the matches of
+// the batch land in out, which it resets.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
-//mmjoin:bce
 func (t *RobinHoodTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
-	n := len(keys)
-	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
-	slots := s.slotBuf()
-	biased := s.keyBuf()
-	dists := s.distBuf()
-	lanes := s.laneBuf()
-	curk := s.curkBuf()
-	bp, pp := out.bufs()
-	tk := t.keys
-	if len(tk) == 0 {
-		out.N = 0
-		return
-	}
-	checkSpan(len(t.payloads), len(tk))
-	checkSpan(len(t.dist), len(tk))
-	tp := t.payloads[:len(tk)]
-	td := t.dist[:len(tk)]
-	mask := uint64(len(tk) - 1)
-	checkSpan(len(probePayloads), n)
-	probePayloads = probePayloads[:n]
-	pfd := prefetchDist()
-	// Gather pass with the pfd-ahead prefetch; see LookupBatch.
-	for li := 0; li < n; li++ {
-		if p := li + pfd; pfd > 0 && p < n {
-			pf(unsafe.Pointer(&tk[h[p&(BatchSize-1)]&mask]))
-		}
-		i := h[li] & mask
-		slots[li] = i
-		curk[li] = tk[i&mask]
-	}
-	nn := 0
-	m := 0
-	for li := 0; li < n; li++ {
-		cur := curk[li]
-		bk := uint32(keys[li]) + 1
-		if cur == bk {
-			bp[m&(BatchSize-1)] = tp[slots[li]&mask]
-			pp[m&(BatchSize-1)] = probePayloads[li]
-			m++
-			continue
-		}
-		if cur == 0 {
-			continue
-		}
-		slots[li] = (slots[li] + 1) & mask
-		biased[li] = bk
-		dists[li] = 1
-		lanes[nn&(BatchSize-1)] = int32(li)
-		nn++
-	}
-	for round := uint64(0); nn > 0 && round < mask; round++ {
-		na := 0
-		for a := 0; a < nn; a++ {
-			li := int(lanes[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
-				continue
-			}
-			i := slots[li] & mask
-			cur := tk[i&mask]
-			if cur == 0 {
-				continue
-			}
-			if cur == biased[li] {
-				bp[m&(BatchSize-1)] = tp[i&mask]
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-				continue
-			}
-			d := dists[li]
-			if td[i&mask] < d {
-				continue
-			}
-			slots[li] = (i + 1) & mask
-			if d < 255 {
-				dists[li] = d + 1
-			}
-			lanes[na&(BatchSize-1)] = int32(li)
-			na++
-		}
-		nn = na
-	}
-	out.N = m
+	pays, found := s.hitBufs()
+	t.LookupBatch(keys, s, pays[:], found[:])
+	compactMatches(pays, found, probePayloads, len(keys), out)
 }
 
 // ---------------------------------------------------------------------
@@ -1078,8 +935,9 @@ func (t *ArrayTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Pay
 }
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
-// key. The array table has no probe sequences, so a single pass
-// suffices; the bitmap and payload loads of all lanes still overlap.
+// key, marks included. The array table has no probe sequences, so a
+// single pass suffices; the bitmap and payload loads of all lanes still
+// overlap.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -1089,6 +947,7 @@ func (t *ArrayTable) LookupBatch(keys []tuple.Key, _ *BatchScratch, payloads []t
 	checkBatch(n)
 	pl := t.payloads
 	pres := t.present
+	matched := t.matched
 	checkSpan(len(payloads), n)
 	checkSpan(len(found), n)
 	payloads = payloads[:n]
@@ -1103,10 +962,13 @@ func (t *ArrayTable) LookupBatch(keys []tuple.Key, _ *BatchScratch, payloads []t
 		}
 		payloads[li] = pl[i]
 		found[li] = true
+		//mmjoin:allow(perfgate) setMark's inlined word index i>>6 divides the domain guard through a shift prove cannot follow
+		setMark(matched, i)
 	}
 }
 
-// ProbeJoinBatch fuses LookupBatch with match emission into out.
+// ProbeJoinBatch fuses LookupBatch with match emission into out. It
+// never marks: the join layer runs it for inner joins only.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -1142,8 +1004,9 @@ func (t *ArrayTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payl
 // batched.
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
-// key including the overflow-table fallback, which is resolved with
-// scalar map lookups for the lanes that missed the bitmap.
+// key, marks included, and including the overflow-table fallback, which
+// is resolved with scalar map lookups for the lanes that missed the
+// bitmap.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -1205,6 +1068,19 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 		}
 		nn = na
 	}
+	// Until the overflow pass below, found lanes are exactly the array
+	// hits, and a hit lane's cursor stops on its bucket; see markSlots.
+	if len(t.matched) != 0 {
+		for li := 0; li < n; li++ {
+			if found[li] {
+				pos := slots[li]
+				g := &groups[(pos>>5)&uint64(len(groups)-1)]
+				off := uint(pos & 31)
+				//mmjoin:allow(perfgate) setMark's inlined word index idx>>6 carries the popcount-rank invariant prove cannot see
+				setMark(t.matched, int(g.prefix)+bits.OnesCount32(g.bits&((1<<off)-1)))
+			}
+		}
+	}
 	if len(t.overflow) > 0 {
 		for li := 0; li < n; li++ {
 			if found[li] {
@@ -1213,94 +1089,22 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 			if ps := t.overflow[keys[li]]; len(ps) > 0 {
 				payloads[li] = ps[0]
 				found[li] = true
+				//mmjoin:allow(perfgate) markOverflow inlines setMark; the ovIdx map lookup bounds the mark index, not anything prove models
+				t.markOverflow(keys[li])
 			}
 		}
 	}
 }
 
-// ProbeJoinBatch fuses LookupBatch with match emission into out. Lanes
-// that miss the bitmap are collected and resolved against the overflow
-// table afterwards, preserving Lookup's exact semantics.
+// ProbeJoinBatch is LookupBatch plus compactMatches: the matches of
+// the batch land in out, which it resets.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
-//mmjoin:bce
 func (t *CHT) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
-	n := len(keys)
-	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
-	slots := s.slotBuf()
-	lanes := s.laneBuf()
-	misses := s.laneBuf2()
-	bp, pp := out.bufs()
-	groups := t.groups
-	if len(groups) == 0 {
-		out.N = 0
-		return
-	}
-	array := t.array
-	mask := t.mask
-	bucketCount := mask + 1
-	checkSpan(len(probePayloads), n)
-	probePayloads = probePayloads[:n]
-	for li := 0; li < n; li++ {
-		h[li] &= mask
-		slots[li] = h[li]
-		lanes[li] = int32(li)
-	}
-	nn := n
-	m := 0
-	nm := 0
-	for nn > 0 {
-		na := 0
-		for a := 0; a < nn; a++ {
-			li := int(lanes[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
-				continue
-			}
-			pos := slots[li]
-			if pos >= bucketCount || pos-h[li] >= chtMaxDisplacement {
-				misses[nm&(BatchSize-1)] = int32(li)
-				nm++
-				continue
-			}
-			g := &groups[(pos>>5)&uint64(len(groups)-1)]
-			off := uint(pos & 31)
-			if g.bits&(1<<off) == 0 {
-				misses[nm&(BatchSize-1)] = int32(li)
-				nm++
-				continue
-			}
-			idx := int(g.prefix) + bits.OnesCount32(g.bits&((1<<off)-1))
-			//mmjoin:allow(perfgate) idx is the popcount rank of an occupied bucket, in range of the dense array by CHT construction; prove cannot see the rank invariant
-			if array[idx].Key == keys[li] {
-				//mmjoin:allow(perfgate) same rank-derived index as the line above
-				bp[m&(BatchSize-1)] = array[idx].Payload
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-				continue
-			}
-			slots[li] = pos + 1
-			lanes[na&(BatchSize-1)] = int32(li)
-			na++
-		}
-		nn = na
-	}
-	if len(t.overflow) > 0 {
-		for a := 0; a < nm; a++ {
-			li := int(misses[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
-				continue
-			}
-			if ps := t.overflow[keys[li]]; len(ps) > 0 {
-				bp[m&(BatchSize-1)] = ps[0]
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-			}
-		}
-	}
-	out.N = m
+	pays, found := s.hitBufs()
+	t.LookupBatch(keys, s, pays[:], found[:])
+	compactMatches(pays, found, probePayloads, len(keys), out)
 }
 
 // ---------------------------------------------------------------------
@@ -1351,7 +1155,7 @@ func (t *SparseTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *
 }
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
-// key.
+// key, marks included.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -1405,60 +1209,26 @@ func (t *SparseTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []
 		}
 		nn = na
 	}
+	// A hit lane's cursor stops on the bucket it hit; see markSlots.
+	if len(t.matched) != 0 {
+		for li := 0; li < n; li++ {
+			if found[li] {
+				pos := slots[li]
+				gi := (pos >> 5) & uint64(len(groups)-1)
+				//mmjoin:allow(perfgate) len(t.bases) == len(groups) by construction; prove cannot relate the two lengths through gi
+				setMark(t.matched, int(t.bases[gi])+groups[gi].denseIndex(uint(pos&31)))
+			}
+		}
+	}
 }
 
-// ProbeJoinBatch fuses LookupBatch with match emission into out.
+// ProbeJoinBatch is LookupBatch plus compactMatches: the matches of
+// the batch land in out, which it resets.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
-//mmjoin:bce
 func (t *SparseTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *BatchScratch, out *MatchBatch) {
-	n := len(keys)
-	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
-	slots := s.slotBuf()
-	lanes := s.laneBuf()
-	bp, pp := out.bufs()
-	groups := t.groups
-	if len(groups) == 0 {
-		out.N = 0
-		return
-	}
-	mask := t.mask
-	checkSpan(len(probePayloads), n)
-	probePayloads = probePayloads[:n]
-	for li := 0; li < n; li++ {
-		slots[li] = (h[li] * sparseBucketsPerTuple) & mask
-		lanes[li] = int32(li)
-	}
-	nn := n
-	m := 0
-	for round := uint64(0); nn > 0 && round <= mask; round++ {
-		na := 0
-		for a := 0; a < nn; a++ {
-			li := int(lanes[a&(BatchSize-1)])
-			if uint(li) >= uint(n) {
-				continue
-			}
-			pos := slots[li]
-			g := &groups[(pos>>5)&uint64(len(groups)-1)]
-			off := uint(pos & 31)
-			if g.bits&(1<<off) == 0 {
-				continue
-			}
-			//mmjoin:allow(perfgate) the dense index is the select rank of the bit within the group, in range by construction; prove cannot see the rank invariant
-			if e := g.dense[g.denseIndex(off)]; e.Key == keys[li] {
-				bp[m&(BatchSize-1)] = e.Payload
-				pp[m&(BatchSize-1)] = probePayloads[li]
-				m++
-				continue
-			}
-			slots[li] = (pos + 1) & mask
-			lanes[na&(BatchSize-1)] = int32(li)
-			na++
-		}
-		nn = na
-	}
-	out.N = m
+	pays, found := s.hitBufs()
+	t.LookupBatch(keys, s, pays[:], found[:])
+	compactMatches(pays, found, probePayloads, len(keys), out)
 }

@@ -173,6 +173,93 @@ func TestProbeJoinBatchMatchesScalarProbe(t *testing.T) {
 	}
 }
 
+// trackingTable is a batchTable with build-side match tracking.
+type trackingTable interface {
+	batchTable
+	EnableMatchTracking()
+	ForEachUnmatched(fn func(tuple.Key, tuple.Payload))
+}
+
+// TestMatchTrackingScalarMatchesBatch checks that scalar Lookup and
+// LookupBatch mark the same build entries: for every design and key set
+// it probes one tracking twin each way and compares both tables'
+// ForEachUnmatched sets against the build tuples whose key was never
+// probed. The "collide" build sends every key to 16 home buckets, which
+// forces chained overflow chains and CHT overflow entries.
+func TestMatchTrackingScalarMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	lowHash := func(k tuple.Key) uint64 { return uint64(k) & 15 }
+	for _, build := range []struct {
+		name   string
+		n      int
+		stride int
+		hash   hashfn.Func
+	}{
+		{"dense", 1 << 12, 1, hashfn.Murmur},
+		{"holeheavy", 1 << 12, 7, hashfn.Murmur},
+		{"collide", 1 << 10, 1, lowHash},
+	} {
+		t.Run(build.name, func(t *testing.T) {
+			domain := build.n * build.stride
+			tuples := make([]tuple.Tuple, build.n)
+			for i := range tuples {
+				tuples[i] = tuple.Tuple{Key: tuple.Key(i * build.stride), Payload: tuple.Payload(i*3 + 1)}
+			}
+			scalarTwins := buildBatchTables(t, tuples, domain, build.hash)
+			batchTwins := buildBatchTables(t, tuples, domain, build.hash)
+			if build.name == "collide" {
+				if ct := scalarTwins["chained"].(*ChainedTable); len(ct.arena) == 0 {
+					t.Fatal("collide build made no chained overflow chains")
+				}
+				if cht := scalarTwins["cht"].(*CHT); cht.OverflowLen() == 0 {
+					t.Fatal("collide build made no CHT overflow entries")
+				}
+			}
+			for setName, keys := range batchKeySets(build.n, domain, rng) {
+				probed := make(map[tuple.Key]bool, len(keys))
+				for _, k := range keys {
+					probed[k] = true
+				}
+				want := map[tuple.Tuple]bool{}
+				for _, tp := range tuples {
+					if !probed[tp.Key] {
+						want[tp] = true
+					}
+				}
+				for tblName := range scalarTwins {
+					st := scalarTwins[tblName].(trackingTable)
+					bt := batchTwins[tblName].(trackingTable)
+					st.EnableMatchTracking()
+					bt.EnableMatchTracking()
+					for _, k := range keys {
+						st.Lookup(k)
+					}
+					var s BatchScratch
+					payloads := make([]tuple.Payload, BatchSize)
+					found := make([]bool, BatchSize)
+					runBatched(len(keys), func(lo, hi int) {
+						bt.LookupBatch(keys[lo:hi], &s, payloads, found)
+					})
+					for via, tbl := range map[string]trackingTable{"Lookup": st, "LookupBatch": bt} {
+						got := map[tuple.Tuple]bool{}
+						tbl.ForEachUnmatched(func(k tuple.Key, p tuple.Payload) {
+							got[tuple.Tuple{Key: k, Payload: p}] = true
+						})
+						if len(got) != len(want) {
+							t.Fatalf("%s/%s via %s: %d unmatched entries, want %d", tblName, setName, via, len(got), len(want))
+						}
+						for tp := range want {
+							if !got[tp] {
+								t.Fatalf("%s/%s via %s: entry %v missing from ForEachUnmatched", tblName, setName, via, tp)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestBuildBatchMatchesInsert builds one table per kind through the
 // batch kernels and compares every lookup against a scalar-built twin.
 func TestBuildBatchMatchesInsert(t *testing.T) {

@@ -28,8 +28,8 @@ const chainedBucketTuples = 2
 type chainedBucket struct {
 	// meta packs the latch (bit 31), the match marks (bits 29-30) and
 	// the in-bucket tuple count (low bits); manipulated atomically
-	// during concurrent builds and plainly during single-threaded
-	// per-partition builds.
+	// during concurrent builds and probes, and plainly during
+	// single-threaded per-partition builds.
 	meta uint32
 	// next is the 1-based index of the successor overflow bucket in the
 	// table's arena; 0 ends the chain.
@@ -47,8 +47,8 @@ const (
 	// chainedMarkBit0 is the build-side matched flag of in-bucket slot 0;
 	// slot i uses bit chainedMarkShift+i. With chainedBucketTuples == 2
 	// the marks occupy bits 29-30, leaving bit 31 for the latch and the
-	// low 29 bits for the count. Marks are set atomically by the
-	// outer-join probe kernels (LookupMark / LookupBatchMark) and read by
+	// low 29 bits for the count. Marks are set atomically by Lookup and
+	// LookupBatch once EnableMatchTracking was called, and read by
 	// ForEachUnmatched; every count extraction masks them out.
 	chainedMarkShift = 29
 	chainedMarkBit0  = 1 << chainedMarkShift
@@ -71,6 +71,7 @@ type ChainedTable struct {
 	// PrepareConcurrent reservation with this atomic counter.
 	ovUsed     atomic.Int32
 	concurrent bool
+	tracking   bool // Lookup/LookupBatch mark hits; see EnableMatchTracking
 	n          int
 	capacity   int // declared capacity from New, for PrepareConcurrent
 
@@ -157,6 +158,7 @@ func (t *ChainedTable) Reset() {
 	t.arena = t.arena[:0]
 	t.ovUsed.Store(0)
 	t.concurrent = false
+	t.tracking = false
 	t.n = 0
 }
 
@@ -292,9 +294,13 @@ func (t *ChainedTable) InsertConcurrent(tp tuple.Tuple) {
 	t.lock(head)
 	b := head
 	for {
-		cnt := int(b.meta & chainedCountMask)
+		// Only the head's meta is contended (other builders CAS its
+		// latch); overflow buckets are reached under the latch.
+		var cnt int
 		if b == head {
 			cnt = int(atomic.LoadUint32(&b.meta) & chainedCountMask)
+		} else {
+			cnt = int(b.meta & chainedCountMask)
 		}
 		if cnt < chainedBucketTuples {
 			b.tuples[cnt] = tp
@@ -342,15 +348,19 @@ func (t *ChainedTable) FinishConcurrentBuild() {
 	t.n = n
 }
 
-// Lookup implements Table.
+// Lookup implements Table, marking the hit while tracking is on. meta
+// is loaded atomically for the same reason as in LookupBatch.
 //
 //mmjoin:hotpath
 func (t *ChainedTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	b := &t.buckets[t.hash(k)&t.mask]
 	for {
-		cnt := int(b.meta & chainedCountMask)
+		cnt := int(atomic.LoadUint32(&b.meta) & chainedCountMask)
 		for i := 0; i < cnt; i++ {
 			if b.tuples[i].Key == k {
+				if t.tracking {
+					atomic.OrUint32(&b.meta, chainedMarkBit0<<uint(i))
+				}
 				return b.tuples[i].Payload, true
 			}
 		}

@@ -28,7 +28,7 @@ type CHT struct {
 	hashB    hashfn.BatchFunc
 	n        int
 
-	// Match-tracking state (nil until EnableMatchTracking): a mark bitmap
+	// Match-tracking state (empty until EnableMatchTracking): a mark bitmap
 	// over the dense array, plus a flattened index of the overflow map so
 	// overflow hits can be marked without mutating the map during
 	// concurrent probes.
@@ -74,7 +74,7 @@ func BuildCHT(rel tuple.Relation, hash hashfn.Func) *CHT {
 // bucketOf returns the home bucket of a key.
 func (t *CHT) bucketOf(k tuple.Key) uint64 { return t.hash(k) & t.mask }
 
-// Lookup implements Table.
+// Lookup implements Table, marking the hit while tracking is on.
 func (t *CHT) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	h := t.bucketOf(k)
 	bucketCount := t.mask + 1
@@ -90,11 +90,13 @@ func (t *CHT) Lookup(k tuple.Key) (tuple.Payload, bool) {
 		}
 		idx := int(g.prefix) + bits.OnesCount32(g.bits&((1<<off)-1))
 		if t.array[idx].Key == k {
+			setMark(t.matched, idx)
 			return t.array[idx].Payload, true
 		}
 	}
 	if len(t.overflow) > 0 {
 		if ps := t.overflow[k]; len(ps) > 0 {
+			t.markOverflow(k)
 			return ps[0], true
 		}
 	}

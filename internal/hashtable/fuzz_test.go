@@ -8,7 +8,9 @@ import (
 )
 
 // Fuzz target: every table design agrees with a map for arbitrary
-// unique-key insert sequences and arbitrary hash choice.
+// unique-key insert sequences and arbitrary hash choice, through scalar
+// Lookup, LookupBatch and ProbeJoinBatch (and so the shared match
+// compaction) alike.
 func FuzzTablesAgainstMap(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, uint8(0))
 	f.Add([]byte{255, 0, 255, 0, 7}, uint8(1))
@@ -41,7 +43,27 @@ func FuzzTablesAgainstMap(f *testing.F) {
 			at.Insert(tp)
 		}
 		cht := BuildCHT(tuples, h)
-		for _, tbl := range []Table{ct, lt, rh, st, at, cht} {
+		// Probe every built key, a neighbor that may or may not be built,
+		// and a key outside every table's domain.
+		var probes []tuple.Key
+		for _, tp := range tuples {
+			probes = append(probes, tp.Key, tp.Key^1, tp.Key|1<<16)
+		}
+		wantHits := 0
+		for _, k := range probes {
+			if _, ok := ref[k]; ok {
+				wantHits++
+			}
+		}
+		lanes := make([]tuple.Payload, len(probes))
+		for i := range lanes {
+			lanes[i] = tuple.Payload(i)
+		}
+		var s BatchScratch
+		var out MatchBatch
+		payloads := make([]tuple.Payload, BatchSize)
+		found := make([]bool, BatchSize)
+		for _, tbl := range []batchTable{ct, lt, rh, st, at, cht} {
 			if tbl.Len() != len(ref) {
 				t.Fatalf("%T len %d, want %d", tbl, tbl.Len(), len(ref))
 			}
@@ -52,6 +74,27 @@ func FuzzTablesAgainstMap(f *testing.F) {
 			}
 			if _, ok := tbl.Lookup(1 << 17); ok {
 				t.Fatalf("%T phantom hit", tbl)
+			}
+			hits := 0
+			runBatched(len(probes), func(lo, hi int) {
+				tbl.LookupBatch(probes[lo:hi], &s, payloads, found)
+				for i, k := range probes[lo:hi] {
+					if v, ok := ref[k]; found[i] != ok || (ok && payloads[i] != v) {
+						t.Fatalf("%T LookupBatch(%d) = %d,%v, want %d,%v", tbl, k, payloads[i], found[i], v, ok)
+					}
+				}
+				tbl.ProbeJoinBatch(probes[lo:hi], lanes[lo:hi], &s, &out)
+				for j := 0; j < out.N; j++ {
+					lane := int(out.Probe[j])
+					v, ok := ref[probes[lane]]
+					if !ok || out.Build[j] != v || (j > 0 && out.Probe[j-1] >= out.Probe[j]) {
+						t.Fatalf("%T ProbeJoinBatch emitted <%d, lane %d> for key %d (ref %d,%v)", tbl, out.Build[j], lane, probes[lane], v, ok)
+					}
+				}
+				hits += out.N
+			})
+			if hits != wantHits {
+				t.Fatalf("%T ProbeJoinBatch found %d matches, want %d", tbl, hits, wantHits)
 			}
 		}
 	})

@@ -1,5 +1,6 @@
-// Package hashtable implements the four hash-table designs the thirteen
-// join algorithms of Schuh et al. (SIGMOD 2016) are built on:
+// Package hashtable implements the six hash-table designs the thirteen
+// join algorithms of Schuh et al. (SIGMOD 2016) and their ablations are
+// built on:
 //
 //   - ChainedTable: bucket chaining with in-bucket latches and tuples and
 //     locks in a single array, following the cache-efficient layout of
@@ -12,6 +13,12 @@
 //     array, bulk-loaded once. Used by CHTJ.
 //   - ArrayTable: a plain payload array indexed by key for dense
 //     domains. Used by NOPA, PRA, CPRA.
+//   - RobinHoodTable: linear probing with Robin Hood displacement
+//     (Richter et al., PVLDB 2016). An ablation and a cached-table
+//     design next to LinearTable.
+//   - SparseTable: a dynamic sibling of the CHT modeled on the Google
+//     sparse hash map, with per-group bitmaps over dense slices. An
+//     ablation and a cached-table design next to the CHT.
 //
 // All tables use a pluggable hash function (identity by default, see
 // internal/hashfn) and are sized to powers of two so the hash reduces
@@ -24,7 +31,7 @@ import (
 	"mmjoin/internal/tuple"
 )
 
-// Table is the common read API of all four designs; the write/build APIs
+// Table is the common read API of all six designs; the write/build APIs
 // differ by design (CAS inserts, latched inserts, bulk loads) and are
 // concrete methods. Join algorithms use the concrete types; the interface
 // exists so that correctness tests and the advisor example can treat all

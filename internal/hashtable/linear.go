@@ -24,7 +24,7 @@ type LinearTable struct {
 	hash     hashfn.Func
 	hashB    hashfn.BatchFunc
 	n        int64
-	matched  []uint64 // slot-mark bitmap; nil until EnableMatchTracking
+	matched  []uint64 // slot-mark bitmap; empty unless tracking
 
 	// a is the arena the key/payload arrays were drawn from (nil for
 	// plain heap allocation); Free returns them.
@@ -144,9 +144,9 @@ func (t *LinearTable) InsertConcurrent(tp tuple.Tuple) {
 	panic("hashtable: LinearTable full — size it for the build side before inserting")
 }
 
-// Lookup implements Table. The probe count is bounded by the slot count
-// so a pathologically full table terminates with a miss instead of
-// spinning.
+// Lookup implements Table, marking the hit while tracking is on. The
+// probe count is bounded by the slot count so a pathologically full
+// table terminates with a miss instead of spinning.
 //
 //mmjoin:hotpath
 func (t *LinearTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
@@ -155,6 +155,7 @@ func (t *LinearTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	for probes := 0; probes <= int(t.mask); probes++ {
 		cur := t.keys[i]
 		if cur == biased {
+			setMark(t.matched, int(i))
 			return t.payloads[i], true
 		}
 		if cur == 0 {
@@ -188,9 +189,10 @@ func (t *LinearTable) Len() int { return int(atomic.LoadInt64(&t.n)) }
 // SizeBytes implements Table.
 func (t *LinearTable) SizeBytes() int64 { return int64(len(t.keys)) * 8 }
 
-// Reset clears the table for reuse with the same capacity.
+// Reset clears the table for reuse with the same capacity and ends
+// match tracking.
 func (t *LinearTable) Reset() {
 	clear(t.keys)
-	clear(t.matched)
+	t.matched = t.matched[:0]
 	t.n = 0
 }

@@ -10,33 +10,50 @@ import (
 // This file holds the build-side match-tracking API the outer-join
 // variants are built on (see join.Kind): every table can record which of
 // its entries matched at least one probe key, and enumerate the entries
-// that never did. A right/full outer join probes through LookupMark (or
-// the batched LookupBatchMark in markbatch.go) instead of Lookup, then
-// scans the survivors with ForEachUnmatched in a post-pass, emitting
-// <buildPayload, NullPayload> padding for each.
+// that never did. Tracking is table state, not a separate kernel:
+// after EnableMatchTracking, Lookup and LookupBatch (and so the hashed
+// designs' ProbeJoinBatch) mark the entry they hit. A right/full outer
+// join enables tracking after the build, probes as usual, then scans the
+// survivors with ForEachUnmatched in a post-pass, emitting
+// <buildPayload, NullPayload> padding for each. Reset ends tracking.
 //
 // Marks are set with atomic OR so concurrent probes over a shared table
 // (the no-partitioning joins and the skew-split shared tables) need no
 // extra synchronization: marking is idempotent, and the post-pass runs
 // after a phase barrier. The mark storage is a side bitmap over the
-// table's stable entry positions — except for ChainedTable, whose
-// overflow buckets have no stable global index; it keeps per-slot mark
-// bits inside the bucket meta word (bits 29-30) instead.
+// table's stable entry positions, non-empty exactly while tracking is
+// on — except for ChainedTable, whose overflow buckets have no stable
+// global index; it keeps per-slot mark bits inside the bucket meta word
+// (bits 29-30) and a tracking flag instead.
 //
-// The inner-join kernels (Lookup/LookupBatch/ProbeJoinBatch) are
-// untouched: they neither read nor write marks, so the hot path pays
-// nothing for the tracking machinery. Like those kernels, LookupMark
-// mirrors Lookup's first-match semantics — exact for the unique
-// build-key workloads of the study, which the join layer guarantees by
-// routing only null-free relations with unique keys into tables.
+// Inner probes pay for this with one predicted branch, never a store:
+// per hit in scalar Lookup (and ArrayTable's single-pass LookupBatch),
+// per batch in the other LookupBatch walks, which mark in a pass after
+// the walk from the lane cursors that stopped on the hit entries. The
+// walks themselves carry no tracking code. Marking follows Lookup's
+// first-match semantics — exact for the unique build-key workloads of
+// the study, which the join layer guarantees by routing only null-free
+// relations with unique keys into tables.
 
-// markWords returns the bitmap length covering n entries.
-func markWords(n int) int { return (n + 63) / 64 }
+// markBitmap returns a cleared bitmap covering n entries, reusing m's
+// storage when it is large enough (tables are Reset and re-tracked per
+// co-partition).
+func markBitmap(m []uint64, n int) []uint64 {
+	w := (n + 63) / 64
+	if cap(m) < w {
+		return make([]uint64, w)
+	}
+	m = m[:w]
+	clear(m)
+	return m
+}
 
-// setMark sets bit i of a shared mark bitmap; safe for concurrent
-// markers.
+// setMark sets bit i of a shared mark bitmap while tracking is on (the
+// bitmap is non-empty); safe for concurrent markers.
 func setMark(m []uint64, i int) {
-	atomic.OrUint64(&m[i>>6], 1<<uint(i&63))
+	if len(m) != 0 {
+		atomic.OrUint64(&m[i>>6], 1<<uint(i&63))
+	}
 }
 
 // testMark reports bit i. Only called after the probe phase barrier, so
@@ -49,30 +66,19 @@ func testMark(m []uint64, i int) bool {
 // ChainedTable
 // ---------------------------------------------------------------------
 
-// EnableMatchTracking prepares the table for LookupMark /
-// ForEachUnmatched. The chained table stores marks inline in the bucket
-// meta words, which a build leaves zeroed, so this only documents the
-// contract; it exists for API uniformity with the bitmap-backed tables.
-func (t *ChainedTable) EnableMatchTracking() {}
-
-// LookupMark is Lookup plus build-side match tracking: the matched
-// entry's in-bucket mark bit is set with an atomic OR, safe for
-// concurrent probes.
-func (t *ChainedTable) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	b := &t.buckets[t.hash(k)&t.mask]
-	for {
-		cnt := int(atomic.LoadUint32(&b.meta) & chainedCountMask)
-		for i := 0; i < cnt; i++ {
-			if b.tuples[i].Key == k {
-				atomic.OrUint32(&b.meta, chainedMarkBit0<<uint(i))
-				return b.tuples[i].Payload, true
-			}
-		}
-		if b.next == 0 {
-			return 0, false
-		}
-		b = &t.arena[b.next-1]
+// EnableMatchTracking clears the mark bits in every bucket's meta word
+// and makes Lookup and LookupBatch mark the entries they hit, for
+// ForEachUnmatched. Call it after the build completed and before the
+// first probe.
+func (t *ChainedTable) EnableMatchTracking() {
+	const marks = ^uint32(chainedCountMask | chainedLatchBit)
+	for i := range t.buckets {
+		t.buckets[i].meta &^= marks
 	}
+	for i := range t.arena {
+		t.arena[i].meta &^= marks
+	}
+	t.tracking = true
 }
 
 // ForEachUnmatched invokes fn for every stored tuple whose mark bit was
@@ -101,35 +107,11 @@ func (t *ChainedTable) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 // ---------------------------------------------------------------------
 
 // EnableMatchTracking allocates (or clears) the slot-mark bitmap. Must
-// be called after the build completed and before the first LookupMark.
-func (t *LinearTable) EnableMatchTracking() {
-	if len(t.matched) != markWords(len(t.keys)) {
-		t.matched = make([]uint64, markWords(len(t.keys)))
-		return
-	}
-	clear(t.matched)
-}
+// be called after the build completed and before the first probe.
+func (t *LinearTable) EnableMatchTracking() { t.matched = markBitmap(t.matched, len(t.keys)) }
 
-// LookupMark is Lookup plus build-side match tracking.
-func (t *LinearTable) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	biased := uint32(k) + 1
-	i := t.hash(k) & t.mask
-	for probes := 0; probes <= int(t.mask); probes++ {
-		cur := t.keys[i]
-		if cur == biased {
-			setMark(t.matched, int(i))
-			return t.payloads[i], true
-		}
-		if cur == 0 {
-			return 0, false
-		}
-		i = (i + 1) & t.mask
-	}
-	return 0, false
-}
-
-// ForEachUnmatched invokes fn for every stored tuple never marked by
-// LookupMark/LookupBatchMark. Requires EnableMatchTracking.
+// ForEachUnmatched invokes fn for every stored tuple no probe marked.
+// Requires EnableMatchTracking.
 func (t *LinearTable) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 	for i, cur := range t.keys {
 		if cur == 0 || testMark(t.matched, i) {
@@ -144,39 +126,7 @@ func (t *LinearTable) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 // ---------------------------------------------------------------------
 
 // EnableMatchTracking allocates (or clears) the slot-mark bitmap.
-func (t *RobinHoodTable) EnableMatchTracking() {
-	if len(t.matched) != markWords(len(t.keys)) {
-		t.matched = make([]uint64, markWords(len(t.keys)))
-		return
-	}
-	clear(t.matched)
-}
-
-// LookupMark is Lookup plus build-side match tracking, including the
-// Robin Hood distance early-exit.
-func (t *RobinHoodTable) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	key := uint32(k) + 1
-	i := t.hash(k) & t.mask
-	var d uint8
-	for probes := 0; probes <= int(t.mask); probes++ {
-		cur := t.keys[i]
-		if cur == 0 {
-			return 0, false
-		}
-		if cur == key {
-			setMark(t.matched, int(i))
-			return t.payloads[i], true
-		}
-		if t.dist[i] < d {
-			return 0, false
-		}
-		i = (i + 1) & t.mask
-		if d < 255 {
-			d++
-		}
-	}
-	return 0, false
-}
+func (t *RobinHoodTable) EnableMatchTracking() { t.matched = markBitmap(t.matched, len(t.keys)) }
 
 // ForEachUnmatched invokes fn for every stored tuple never marked.
 // Requires EnableMatchTracking.
@@ -196,24 +146,7 @@ func (t *RobinHoodTable) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 // EnableMatchTracking allocates (or clears) the mark bitmap, shaped like
 // the presence bitmap.
 func (t *ArrayTable) EnableMatchTracking() {
-	if len(t.matched) != len(t.present) {
-		t.matched = make([]uint64, len(t.present))
-		return
-	}
-	clear(t.matched)
-}
-
-// LookupMark is Lookup plus build-side match tracking.
-func (t *ArrayTable) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	i := int(k - t.base)
-	if uint(i) >= uint(len(t.payloads)) {
-		return 0, false
-	}
-	if t.present[i>>6]&(1<<uint(i&63)) == 0 {
-		return 0, false
-	}
-	setMark(t.matched, i)
-	return t.payloads[i], true
+	t.matched = markBitmap(t.matched, 64*len(t.present))
 }
 
 // ForEachUnmatched invokes fn for every present key never marked.
@@ -239,13 +172,9 @@ func (t *ArrayTable) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 // EnableMatchTracking allocates the mark bitmap over the dense array and
 // flattens the overflow map into an indexable key list so overflow hits
 // can be marked without mutating the map concurrently. Must be called
-// after Finalize and before the first LookupMark.
+// after Finalize and before the first probe.
 func (t *CHT) EnableMatchTracking() {
-	if len(t.matched) != markWords(len(t.array)) {
-		t.matched = make([]uint64, markWords(len(t.array)))
-	} else {
-		clear(t.matched)
-	}
+	t.matched = markBitmap(t.matched, len(t.array))
 	if len(t.overflow) > 0 && t.ovIdx == nil {
 		t.ovKeys = make([]tuple.Key, 0, len(t.overflow))
 		t.ovIdx = make(map[tuple.Key]int32, len(t.overflow))
@@ -254,49 +183,16 @@ func (t *CHT) EnableMatchTracking() {
 			t.ovKeys = append(t.ovKeys, k)
 		}
 	}
-	if len(t.ovMatched) != markWords(len(t.ovKeys)) {
-		t.ovMatched = make([]uint64, markWords(len(t.ovKeys)))
-	} else {
-		clear(t.ovMatched)
-	}
+	t.ovMatched = markBitmap(t.ovMatched, len(t.ovKeys))
 }
 
-// markOverflow records a match for an overflow-resident key. Map reads
-// are safe under concurrent readers; the bitmap takes the write.
+// markOverflow records a match for an overflow-resident key; a no-op
+// until EnableMatchTracking builds ovIdx. Map reads are safe under
+// concurrent readers; the bitmap takes the write.
 func (t *CHT) markOverflow(k tuple.Key) {
 	if i, ok := t.ovIdx[k]; ok {
 		setMark(t.ovMatched, int(i))
 	}
-}
-
-// LookupMark is Lookup plus build-side match tracking across both the
-// dense array and the overflow table.
-func (t *CHT) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	h := t.bucketOf(k)
-	bucketCount := t.mask + 1
-	for d := uint64(0); d < chtMaxDisplacement; d++ {
-		pos := h + d
-		if pos >= bucketCount {
-			break
-		}
-		g := &t.groups[pos>>5]
-		off := uint(pos & 31)
-		if g.bits&(1<<off) == 0 {
-			break
-		}
-		idx := int(g.prefix) + bits.OnesCount32(g.bits&((1<<off)-1))
-		if t.array[idx].Key == k {
-			setMark(t.matched, idx)
-			return t.array[idx].Payload, true
-		}
-	}
-	if len(t.overflow) > 0 {
-		if ps := t.overflow[k]; len(ps) > 0 {
-			t.markOverflow(k)
-			return ps[0], true
-		}
-	}
-	return 0, false
 }
 
 // ForEachUnmatched invokes fn for every stored tuple never marked: dense
@@ -326,8 +222,8 @@ func (t *CHT) ForEachUnmatched(fn func(tuple.Key, tuple.Payload)) {
 // EnableMatchTracking snapshots per-group entry bases and allocates the
 // mark bitmap over the table's current entries. The sparse table is
 // dynamic; tracking is only valid while the table stays static — any
-// Insert or Delete after this call invalidates the marks, so enable
-// tracking after the build completes, as the joins do for every table.
+// Insert or Delete ends it, so enable tracking after the build
+// completes, as the joins do for every table.
 func (t *SparseTable) EnableMatchTracking() {
 	if len(t.bases) != len(t.groups) {
 		t.bases = make([]int32, len(t.groups))
@@ -337,31 +233,7 @@ func (t *SparseTable) EnableMatchTracking() {
 		t.bases[i] = int32(total)
 		total += len(t.groups[i].dense)
 	}
-	if len(t.matched) != markWords(total) {
-		t.matched = make([]uint64, markWords(total))
-		return
-	}
-	clear(t.matched)
-}
-
-// LookupMark is Lookup plus build-side match tracking. Requires
-// EnableMatchTracking on a static table.
-func (t *SparseTable) LookupMark(k tuple.Key) (tuple.Payload, bool) {
-	pos := t.bucketOf(k)
-	for probes := uint64(0); probes <= t.mask; probes++ {
-		g := &t.groups[pos>>5]
-		off := uint(pos & 31)
-		if g.bits&(1<<off) == 0 {
-			return 0, false
-		}
-		idx := g.denseIndex(off)
-		if e := g.dense[idx]; e.Key == k {
-			setMark(t.matched, int(t.bases[pos>>5])+idx)
-			return e.Payload, true
-		}
-		pos = (pos + 1) & t.mask
-	}
-	return 0, false
+	t.matched = markBitmap(t.matched, total)
 }
 
 // ForEachUnmatched invokes fn for every stored tuple never marked.

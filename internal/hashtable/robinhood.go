@@ -25,7 +25,7 @@ type RobinHoodTable struct {
 	hash     hashfn.Func
 	hashB    hashfn.BatchFunc
 	n        int
-	matched  []uint64 // slot-mark bitmap; nil until EnableMatchTracking
+	matched  []uint64 // slot-mark bitmap; empty unless tracking
 
 	// Arena-backed storage (nil a means plain heap allocation). The
 	// dist bytes are viewed over a uint32 arena buffer, kept in distRaw
@@ -118,17 +118,18 @@ func (t *RobinHoodTable) Insert(tp tuple.Tuple) {
 
 // Reset clears the table for reuse at the same capacity without
 // allocating. Payload slots keep stale values; keys[i] == 0 marks them
-// unreachable.
+// unreachable. Match tracking ends.
 func (t *RobinHoodTable) Reset() {
 	clear(t.keys)
 	clear(t.dist)
-	clear(t.matched)
+	t.matched = t.matched[:0]
 	t.n = 0
 }
 
 // Lookup implements Table. The probe loop can stop as soon as it meets
 // an entry closer to home than the query would be — the Robin Hood
-// early-exit that keeps misses cheap.
+// early-exit that keeps misses cheap. A hit is marked while tracking is
+// on.
 func (t *RobinHoodTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	key := uint32(k) + 1
 	i := t.hash(k) & t.mask
@@ -139,6 +140,7 @@ func (t *RobinHoodTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 			return 0, false
 		}
 		if cur == key {
+			setMark(t.matched, int(i))
 			return t.payloads[i], true
 		}
 		if t.dist[i] < d {

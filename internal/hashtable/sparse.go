@@ -28,10 +28,10 @@ type SparseTable struct {
 	n       int
 	deleted int
 
-	// Match-tracking state (nil until EnableMatchTracking): a mark bitmap
-	// over the table's entries addressed as group base + dense index. The
-	// bases snapshot is only valid while the table stays static, so any
-	// Insert/Delete after EnableMatchTracking invalidates the marks.
+	// Match-tracking state (empty until EnableMatchTracking): a mark
+	// bitmap over the table's entries addressed as group base + dense
+	// index. The bases snapshot is only valid while the table stays
+	// static, so Insert and Delete end tracking.
 	bases   []int32
 	matched []uint64
 }
@@ -77,6 +77,7 @@ func (g *sparseGroup) denseIndex(off uint) int {
 // shifting cannot be made lock-free cheaply; this mirrors the original,
 // which is a single-writer structure).
 func (t *SparseTable) Insert(tp tuple.Tuple) {
+	t.matched = t.matched[:0]
 	pos := t.bucketOf(tp.Key)
 	for probes := uint64(0); probes <= t.mask; probes++ {
 		g := &t.groups[pos>>5]
@@ -95,7 +96,7 @@ func (t *SparseTable) Insert(tp tuple.Tuple) {
 	panic("hashtable: SparseTable full")
 }
 
-// Lookup implements Table.
+// Lookup implements Table, marking the hit while tracking is on.
 func (t *SparseTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	pos := t.bucketOf(k)
 	for probes := uint64(0); probes <= t.mask; probes++ {
@@ -104,7 +105,11 @@ func (t *SparseTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 		if g.bits&(1<<off) == 0 {
 			return 0, false
 		}
-		if e := g.dense[g.denseIndex(off)]; e.Key == k {
+		idx := g.denseIndex(off)
+		if e := g.dense[idx]; e.Key == k {
+			if len(t.matched) != 0 {
+				setMark(t.matched, int(t.bases[pos>>5])+idx)
+			}
 			return e.Payload, true
 		}
 		pos = (pos + 1) & t.mask
@@ -135,6 +140,7 @@ func (t *SparseTable) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
 // which would break probe runs for displaced keys, so instead the
 // displaced suffix of the run is re-inserted.
 func (t *SparseTable) Delete(k tuple.Key) bool {
+	t.matched = t.matched[:0]
 	pos := t.bucketOf(k)
 	for probes := uint64(0); probes <= t.mask; probes++ {
 		g := &t.groups[pos>>5]

@@ -246,3 +246,33 @@ func TestRobinHoodProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSparseMutationEndsTracking checks that Insert ends match
+// tracking: the marks address a snapshot of the dense layout, so a
+// lookup after the table grew must neither mark nor index past the
+// bitmap.
+func TestSparseMutationEndsTracking(t *testing.T) {
+	const n = 1024
+	tuples := denseTuples(n)
+	st := NewSparseTable(n, hashfn.Murmur)
+	for _, tp := range tuples[:64] {
+		st.Insert(tp)
+	}
+	st.EnableMatchTracking()
+	for _, tp := range tuples[64:] {
+		st.Insert(tp)
+	}
+	keys := make([]tuple.Key, n)
+	for i, tp := range tuples {
+		keys[i] = tp.Key
+		if p, ok := st.Lookup(tp.Key); !ok || p != tp.Payload {
+			t.Fatalf("Lookup(%d) = %d,%v after growth", tp.Key, p, ok)
+		}
+	}
+	var s BatchScratch
+	payloads := make([]tuple.Payload, BatchSize)
+	found := make([]bool, BatchSize)
+	runBatched(n, func(lo, hi int) {
+		st.LookupBatch(keys[lo:hi], &s, payloads, found)
+	})
+}

@@ -41,8 +41,8 @@ type batchState struct {
 	keys    []tuple.Key
 	pays    []tuple.Payload
 	// Lookup output arrays for the non-inner kind paths, which probe via
-	// LookupBatch/LookupBatchMark instead of the fused inner kernel (see
-	// kind.go). Nil until a kind path first needs them.
+	// LookupBatch instead of ProbeJoinBatch (see kind.go). Nil until a
+	// kind path first needs them.
 	lookPays  []tuple.Payload
 	lookFound []bool
 }
@@ -105,7 +105,7 @@ func (bs *batchState) buildFrom(w *exec.Worker, ht batchJoinTable, frags []tuple
 	}
 }
 
-// probeInto streams the fragments through the fused ProbeJoinBatch
+// probeInto streams the fragments through the ProbeJoinBatch
 // kernel and hands each compacted match buffer to the sink.
 //
 //mmjoin:hotpath
@@ -204,7 +204,7 @@ func (bs *batchState) buildRunConcurrent(w *exec.Worker, ht batchConcurrentBuild
 }
 
 // joinTaskBatch is the batched joinTask: build a per-co-partition table
-// over the build fragments with BuildBatch, then probe with the fused
+// over the build fragments with BuildBatch, then probe with the
 // kernel. Semantics match joinTask exactly (same shifted keys, same
 // first-match lookup), only the loop structure differs.
 //

@@ -297,7 +297,7 @@ func (s *sink) emit(buildPayload, probePayload tuple.Payload) {
 
 // emitBatch records one batch of matches: lane i pairs buildPayloads[i]
 // with probePayloads[i]. It is the batched counterpart of emit — the
-// fused ProbeJoinBatch kernels and the batched merge join hand their
+// ProbeJoinBatch kernels and the batched merge join hand their
 // compacted match buffers here, so the per-match bookkeeping runs as a
 // tight sum loop instead of a call per tuple.
 //

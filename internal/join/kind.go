@@ -148,13 +148,12 @@ func splitNullSide(rel tuple.Relation, pads bool, pad func(tuple.Payload)) tuple
 }
 
 // kindProbeTable is the table contract of the non-inner probe paths:
-// scalar and batched first-match lookups, their match-tracking twins,
-// and the unmatched post-pass. All six hash tables implement it.
+// scalar and batched first-match lookups (which mark build entries once
+// EnableMatchTracking was called) and the unmatched post-pass. All six
+// hash tables implement it.
 type kindProbeTable interface {
 	Lookup(k tuple.Key) (tuple.Payload, bool)
-	LookupMark(k tuple.Key) (tuple.Payload, bool)
 	LookupBatch(keys []tuple.Key, s *hashtable.BatchScratch, payloads []tuple.Payload, found []bool)
-	LookupBatchMark(keys []tuple.Key, s *hashtable.BatchScratch, payloads []tuple.Payload, found []bool)
 	EnableMatchTracking()
 	ForEachUnmatched(fn func(tuple.Key, tuple.Payload))
 	Len() int
@@ -163,11 +162,11 @@ type kindProbeTable interface {
 // probeRunKind probes one contiguous run tuple-at-a-time with the
 // kind's emission rules; the scalar counterpart of probeKindRun. Keys
 // are shifted by shift (the radix bit count inside a partition, 0 for
-// global tables). Right/full-outer probes go through LookupMark so the
-// table's unmatched post-pass can find the never-hit build entries.
+// global tables). Right/full-outer tables track matches, so the same
+// Lookup marks the build entries the unmatched post-pass skips.
 func probeRunKind(kind Kind, ht kindProbeTable, run []tuple.Tuple, shift uint, s *sink) {
 	switch kind {
-	case LeftOuter:
+	case LeftOuter, FullOuter:
 		for _, tp := range run {
 			if p, ok := ht.Lookup(tp.Key >> shift); ok {
 				s.emit(p, tp.Payload)
@@ -177,16 +176,8 @@ func probeRunKind(kind Kind, ht kindProbeTable, run []tuple.Tuple, shift uint, s
 		}
 	case RightOuter:
 		for _, tp := range run {
-			if p, ok := ht.LookupMark(tp.Key >> shift); ok {
+			if p, ok := ht.Lookup(tp.Key >> shift); ok {
 				s.emit(p, tp.Payload)
-			}
-		}
-	case FullOuter:
-		for _, tp := range run {
-			if p, ok := ht.LookupMark(tp.Key >> shift); ok {
-				s.emit(p, tp.Payload)
-			} else {
-				s.emit(tuple.NullPayload, tp.Payload)
 			}
 		}
 	case LeftSemi:
@@ -252,22 +243,17 @@ func (bs *batchState) lookupBufs() ([]tuple.Payload, []bool) {
 }
 
 // probeKindRun is probeRun with kind emission: batches of the run go
-// through LookupBatch (or LookupBatchMark when the kind tracks build
-// matches) and the lanes are emitted per the kind's rules. Byte charges
+// through LookupBatch (marking build matches when the table tracks
+// them) and the lanes are emitted per the kind's rules. Byte charges
 // match probeRun's, keeping the scalar/batched accounting identical.
 func (bs *batchState) probeKindRun(w *exec.Worker, kind Kind, ht kindProbeTable, run []tuple.Tuple, shift uint, op int64, s *sink) {
 	keys, pays := bs.buffers()
 	buildPays, found := bs.lookupBufs()
-	mark := kind.padsBuild()
 	for lo := 0; lo < len(run); lo += hashtable.BatchSize {
 		hi := min(lo+hashtable.BatchSize, len(run))
 		n := hi - lo
 		gatherShifted(keys[:n], pays[:n], run[lo:hi], shift)
-		if mark {
-			ht.LookupBatchMark(keys[:n], &bs.scratch, buildPays, found)
-		} else {
-			ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
-		}
+		ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
 		emitKindLanes(kind, s, pays, buildPays, found, n)
 		w.AddBytes(int64(n) * (tuple.Bytes + op))
 	}
@@ -279,18 +265,13 @@ func (bs *batchState) probeKindRun(w *exec.Worker, kind Kind, ht kindProbeTable,
 func (bs *batchState) probeKindFrags(w *exec.Worker, kind Kind, ht kindProbeTable, frags []tuple.Relation, bits uint, op int64, s *sink) {
 	keys, pays := bs.buffers()
 	buildPays, found := bs.lookupBufs()
-	mark := kind.padsBuild()
 	bs.cursor.Reset(frags)
 	for {
 		n := bs.cursor.Next(keys, pays, bits)
 		if n == 0 {
 			return
 		}
-		if mark {
-			ht.LookupBatchMark(keys[:n], &bs.scratch, buildPays, found)
-		} else {
-			ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
-		}
+		ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
 		emitKindLanes(kind, s, pays, buildPays, found, n)
 		w.AddBytes(int64(n) * (tuple.Bytes + op))
 	}
