@@ -93,10 +93,12 @@ func runOffHeap(c Config) (*Report, error) {
 // in one allocation mode, reads the GC-visible cost, runs one join, and
 // tears everything down (leak-checked when arena-backed).
 func measureOffHeapMode(c Config, n int, off bool) (*offHeapProbe, error) {
-	// Two collections settle the previous mode's garbage before taking
-	// the baseline — sync.Pool victims (the exec heap pools) survive
-	// exactly one cycle, and a single GC here would let them drain in
-	// the middle of this mode's measurement and skew the delta negative.
+	// Settle the previous mode's garbage before taking the baseline.
+	// Buffers parked in the process-wide heap arena age out over two or
+	// three collections, so they are dropped here rather than in the
+	// middle of this mode's measurement, where they would skew the
+	// delta negative.
+	exec.Shared.Destroy()
 	runtime.GC()
 	runtime.GC()
 	var m0 runtime.MemStats

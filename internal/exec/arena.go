@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,20 +22,24 @@ import (
 //
 // An arena runs in one of two modes:
 //
-//   - Heap mode (NewArena, the zero value): buffers live in
-//     power-of-two size classes backed by sync.Pool, so memory is
-//     returned to the runtime under GC pressure rather than pinned
-//     forever.
+//   - Heap mode (NewArena, the zero value): returned buffers park on
+//     per-size-class freelists shared by every goroutine, so a buffer
+//     put back by one worker is found by the next Get wherever it
+//     runs. (sync.Pool cannot promise that: an item in one P's private
+//     slot is invisible to Gets on the other Ps, and a join's buffers
+//     are taken and returned on different workers.) A parked buffer
+//     is dropped at the second garbage collection after its Put, as
+//     sync.Pool's victim cache would drop it, so memory goes back to
+//     the runtime after a burst rather than staying pinned forever.
 //
 //   - Off-heap mode (NewArenaOffHeap): large classes draw mmap-backed
 //     regions from internal/offheap — invisible to the GC — and park
-//     returned buffers on explicit per-class freelists. sync.Pool
-//     cannot hold them: the pool drops items under GC pressure without
-//     a destructor, which would leak the mapping. Small classes (and
+//     returned regions on freelists that are never aged: dropping a
+//     region without a free would leak the mapping. Small classes (and
 //     any class when the platform allocator is unavailable) fall back
-//     to the heap pools, so the mode is a performance property, never a
-//     correctness requirement. Destroy returns the parked regions to
-//     the OS.
+//     to the heap freelists, so the mode is a performance property,
+//     never a correctness requirement. Destroy returns the parked
+//     regions to the OS.
 //
 // The zero value is ready to use; a nil *Arena degrades to plain
 // allocation.
@@ -44,8 +49,12 @@ type Arena struct {
 	u32s   classSet[uint32]
 	u64s   classSet[uint64]
 
-	// flMu guards the off-heap freelists of all class sets.
-	flMu    sync.Mutex
+	// mu guards the freelists of all class sets, swept and cycles.
+	mu sync.Mutex
+	// swept is the gcSeen value the heap freelists were last aged at.
+	swept uint64
+	// cycles reads the runtime's completed-collection count.
+	cycles  [1]metrics.Sample
 	offheap bool
 
 	// gets and puts count the buffers handed out and returned, so a
@@ -62,12 +71,19 @@ type Arena struct {
 	parked  map[uintptr]string
 }
 
-// classSet is one element type's recycling state: heap pools per size
-// class, a spare-header pool, and (off-heap mode) per-class freelists.
+// classSet is one element type's recycling state: per size class, the
+// parked heap buffers and (off-heap mode) the parked off-heap regions.
+// Both are guarded by the arena's mu.
 type classSet[T any] struct {
-	pools   [maxClass]sync.Pool // elements are *[]T
-	headers sync.Pool           // spare *[]T: Get strips the container off the buffer and parks it here; Put picks it back up
-	free    [maxClass][][]T     // off-heap regions, guarded by the arena's flMu
+	heap [maxClass][]parked[T] // oldest first: Puts append, Gets pop the newest
+	free [maxClass][][]T
+}
+
+// parked is a heap buffer on a freelist, tagged with the number of
+// collections completed before its Put.
+type parked[T any] struct {
+	buf    []T
+	cycles uint64
 }
 
 // maxClass bounds the size classes at 2^47 elements — far above any
@@ -78,6 +94,42 @@ const maxClass = 48
 // mode: below this footprint the page-rounding waste and the mmap
 // syscall dominate whatever the GC would have cost.
 const offheapMinBytes = 64 << 10
+
+// heapKeepCycles is how many collections a parked heap buffer
+// survives: it is kept through the first after its Put and dropped at
+// the second, as sync.Pool's victim cache does.
+const heapKeepCycles = 2
+
+// gcCyclesMetric counts completed collections.
+const gcCyclesMetric = "/gc/cycles/total:gc-cycles"
+
+// gcSeen is the completed-collection count as of the last run of the
+// finalizer armGCHook installs. It trails the runtime's count by the
+// finalizer goroutine's latency; aging against it can only keep a
+// buffer longer, never drop one early.
+var gcSeen atomic.Uint64
+
+// gcSentinel carries a pointer so it is never tiny-allocated next to
+// longer-lived objects, which would delay its finalizer.
+type gcSentinel struct{ _ *byte }
+
+func init() { armGCHook() }
+
+// armGCHook registers a finalizer that runs after the next collection,
+// publishes the collection count to gcSeen and re-arms itself. The
+// process-wide arenas are aged right there, so they release their
+// parked buffers even when no join touches them; private arenas age on
+// their next Get or Put, and die with their owner.
+func armGCHook() {
+	runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) {
+		s := [1]metrics.Sample{{Name: gcCyclesMetric}}
+		metrics.Read(s[:])
+		gcSeen.Store(s[0].Value.Uint64())
+		Shared.age()
+		SharedOffHeap.age()
+		armGCHook()
+	})
+}
 
 // Shared is the process-wide arena every pool uses by default. Joins
 // running anywhere in the process recycle each other's buffers.
@@ -125,17 +177,20 @@ func arenaGet[T any](a *Arena, cs *classSet[T], n int, zero bool) []T {
 			return buf
 		}
 	}
-	if v := cs.pools[c].Get(); v != nil {
-		p := v.(*[]T)
-		buf := (*p)[:n]
-		*p = nil // don't pin the array through the parked header
-		cs.headers.Put(p)
+	a.mu.Lock()
+	a.ageLocked()
+	if l := cs.heap[c]; len(l) > 0 {
+		buf := l[len(l)-1].buf[:n]
+		l[len(l)-1] = parked[T]{} // don't pin the array through the freelist
+		cs.heap[c] = l[:len(l)-1]
+		a.mu.Unlock()
 		if zero {
 			clear(buf)
 		}
 		guardOnGet(a, buf)
 		return buf
 	}
+	a.mu.Unlock()
 	buf := make([]T, n, 1<<c)
 	guardOnGet(a, buf)
 	return buf
@@ -145,12 +200,12 @@ func arenaGet[T any](a *Arena, cs *classSet[T], n int, zero bool) []T {
 // false when the platform allocator declined — the caller falls back to
 // the heap path (the Get was already counted).
 func offheapGet[T any](a *Arena, cs *classSet[T], c, n int, zero bool) ([]T, bool) {
-	a.flMu.Lock()
+	a.mu.Lock()
 	if l := cs.free[c]; len(l) > 0 {
 		buf := l[len(l)-1]
 		l[len(l)-1] = nil
 		cs.free[c] = l[:len(l)-1]
-		a.flMu.Unlock()
+		a.mu.Unlock()
 		buf = buf[:n]
 		if zero {
 			clear(buf)
@@ -158,7 +213,7 @@ func offheapGet[T any](a *Arena, cs *classSet[T], c, n int, zero bool) ([]T, boo
 		guardOnGet(a, buf)
 		return buf, true
 	}
-	a.flMu.Unlock()
+	a.mu.Unlock()
 	if s := offheap.Slice[T](1 << c); s != nil {
 		// Fresh mappings are already zeroed.
 		guardOnGet(a, s)
@@ -183,23 +238,64 @@ func arenaPut[T any](a *Arena, cs *classSet[T], buf []T) {
 	guardOnPut(a, buf)
 	if offheap.IsOffHeapSlice(buf) {
 		if a.offheap {
-			a.flMu.Lock()
+			a.mu.Lock()
 			cs.free[c] = append(cs.free[c], buf[:cap(buf)])
-			a.flMu.Unlock()
+			a.mu.Unlock()
 		} else {
-			// A foreign off-heap buffer must not enter a sync.Pool: the
-			// pool drops items without a destructor and the mapping
-			// would leak. Return it to the OS instead.
+			// A foreign off-heap buffer must not enter the heap
+			// freelists: aging drops buffers without a destructor and
+			// the mapping would leak. Return it to the OS instead.
 			offheap.Free(buf)
 		}
 		return
 	}
-	p, _ := cs.headers.Get().(*[]T)
-	if p == nil {
-		p = new([]T)
+	a.mu.Lock()
+	a.ageLocked()
+	// The tag is read from the runtime, not from gcSeen: a lagging
+	// tag would make the buffer look older than it is.
+	if a.cycles[0].Name == "" {
+		a.cycles[0].Name = gcCyclesMetric
 	}
-	*p = buf[:0]
-	cs.pools[c].Put(p)
+	metrics.Read(a.cycles[:])
+	cs.heap[c] = append(cs.heap[c], parked[T]{buf: buf[:0], cycles: a.cycles[0].Value.Uint64()})
+	a.mu.Unlock()
+}
+
+// age drops the heap buffers that have outlived heapKeepCycles.
+func (a *Arena) age() {
+	a.mu.Lock()
+	a.ageLocked()
+	a.mu.Unlock()
+}
+
+// ageLocked is age with a.mu held. It costs one atomic load unless
+// gcSeen has moved since the last call.
+func (a *Arena) ageLocked() {
+	now := gcSeen.Load()
+	if now == a.swept {
+		return
+	}
+	a.swept = now
+	ageClass(&a.tuples, now)
+	ageClass(&a.ints, now)
+	ageClass(&a.u32s, now)
+	ageClass(&a.u64s, now)
+}
+
+func ageClass[T any](cs *classSet[T], now uint64) {
+	for c, l := range cs.heap {
+		// Tags never decrease along a list, so the expired buffers
+		// form a prefix. (A tag may exceed the lagging now.)
+		k := 0
+		for k < len(l) && l[k].cycles+heapKeepCycles <= now {
+			k++
+		}
+		if k > 0 {
+			n := copy(l, l[k:])
+			clear(l[n:])
+			cs.heap[c] = l[:n]
+		}
+	}
 }
 
 // Tuples returns a tuple buffer of length n with arbitrary contents
@@ -299,13 +395,12 @@ func (a *Arena) Outstanding() int64 {
 	return a.gets.Load() - a.puts.Load()
 }
 
-// Destroy returns every off-heap region parked in the arena's
-// freelists to the OS. Buffers still outstanding are unaffected (they
-// are returned to the OS on their Put, since the freelists are gone
-// only momentarily — a subsequent Get simply maps fresh regions).
-// Heap-mode pools are left to the GC. Harnesses with per-case private
-// arenas call Destroy after the Outstanding check so the off-heap
-// balance returns to its pre-case level.
+// Destroy empties the arena's freelists: parked off-heap regions go
+// back to the OS, parked heap buffers to the GC. Buffers still
+// outstanding are unaffected — their Put parks them again, and a
+// subsequent Get simply allocates or maps fresh ones. Harnesses with
+// per-case private arenas call Destroy after the Outstanding check so
+// the off-heap balance returns to its pre-case level.
 func (a *Arena) Destroy() {
 	if a == nil {
 		return
@@ -320,13 +415,14 @@ func (a *Arena) Destroy() {
 }
 
 func destroyClass[T any](a *Arena, cs *classSet[T]) {
-	a.flMu.Lock()
-	defer a.flMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for c := range cs.free {
 		for _, buf := range cs.free[c] {
 			offheap.Free(buf)
 		}
 		cs.free[c] = nil
+		cs.heap[c] = nil
 	}
 }
 

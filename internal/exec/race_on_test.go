@@ -2,7 +2,6 @@
 
 package exec
 
-// raceEnabled gates assertions that the race detector invalidates
-// (sync.Pool drops a fraction of Puts under -race, defeating
-// allocation-reuse measurements).
+// raceEnabled gates zero-allocation assertions: under -race the
+// arena's double-free guard allocates on every Get and Put.
 const raceEnabled = true

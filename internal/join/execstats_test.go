@@ -95,9 +95,6 @@ func measureAllocs(fn func()) uint64 {
 // the same shapes reuses the partition buffers, histograms and scratch
 // arrays pooled by the first, so it allocates measurably less.
 func TestWarmRunAllocatesLess(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; reuse cannot be measured")
-	}
 	w, err := datagen.Generate(datagen.Config{BuildSize: 1 << 16, ProbeSize: 1 << 19, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +129,6 @@ func TestWarmRunAllocatesLess(t *testing.T) {
 // the cold one. Tracer.Reset keeps the span slices' capacity, so
 // steady-state tracing adds no per-run growth.
 func TestWarmTracedRunReusesArena(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under -race; reuse cannot be measured")
-	}
 	w, err := datagen.Generate(datagen.Config{BuildSize: 1 << 16, ProbeSize: 1 << 19, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
