@@ -7,17 +7,15 @@
 // Usage:
 //
 //	joinserver -listen :8080                 # serve HTTP with demo relations
-//	joinserver -loadtest                     # closed-loop load test, text report
-//	joinserver -loadtest -duration 10s -clients 16 -design linear
-//	joinserver -loadtest -overload           # drive past the budget, expect sheds
-//	joinserver -loadtest -json               # machine-readable report
-//	joinserver -loadtest -duration 3s -selfcheck   # CI smoke: exits nonzero on
-//	                                               # no hits, leaks, or no sheds
+//	joinserver -listen :8080 -design cht -offheap -build-size 1048576
+//
+// Load is measured by the svc-mix workload of the perfbench module
+// (perfbench/), which drives an in-process server through admission,
+// the build cache and off-heap arenas.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +27,6 @@ import (
 
 	"mmjoin/internal/datagen"
 	"mmjoin/internal/join"
-	"mmjoin/internal/offheap"
 	"mmjoin/internal/server"
 )
 
@@ -42,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		listen   = fs.String("listen", "", "serve HTTP on this address (e.g. :8080)")
-		loadtest = fs.Bool("loadtest", false, "run the closed-loop load test and exit")
-
 		threads  = fs.Int("threads", 0, "per-query worker threads (0 = GOMAXPROCS)")
 		slots    = fs.Int("slots", 0, "shared CPU slots across all queries (0 = GOMAXPROCS)")
 		budgetMB = fs.Int64("budget-mb", 0, "admission memory budget in MiB (0 = 256)")
@@ -53,15 +48,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		useOff   = fs.Bool("offheap", false, "place cached tables in GC-free off-heap arenas")
 		design   = fs.String("design", "", "default cached table design: chained, linear, robinhood, array, cht, sparse")
 
-		duration  = fs.Duration("duration", 5*time.Second, "loadtest window")
-		clients   = fs.Int("clients", 8, "loadtest closed-loop clients")
-		buildSize = fs.Int("build-size", 1<<18, "loadtest hot build cardinality")
-		probeSize = fs.Int("probe-size", 1024, "loadtest small probe cardinality")
-		scanEvery = fs.Int("scan-every", 64, "every Nth query per client is a big scan (<0 disables)")
-		overload  = fs.Bool("overload", false, "loadtest: cold uncacheable joins past the budget (expect sheds)")
-		asJSON    = fs.Bool("json", false, "emit the loadtest report as JSON")
-		selfcheck = fs.Bool("selfcheck", false, "verify cache hits, shedding and leak-freedom; exit nonzero on failure")
-		seed      = fs.Uint64("seed", 0, "workload seed (0 = default)")
+		buildSize = fs.Int("build-size", 1<<18, "cardinality of the demo \"build\" relation")
+		probeSize = fs.Int("probe-size", 1024, "cardinality of the demo \"probe\" relation (at least 1024)")
+		seed      = fs.Uint64("seed", 0, "seed of the demo relations (0 = 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,112 +74,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Design = d
 	}
 
-	switch {
-	case *loadtest:
-		lc := server.LoadConfig{
-			Duration:  *duration,
-			Clients:   *clients,
-			BuildSize: *buildSize,
-			ProbeSize: *probeSize,
-			ScanEvery: *scanEvery,
-			Design:    *design,
-			Overload:  *overload,
-			Seed:      *seed,
-		}
-		return runLoadtest(cfg, lc, *selfcheck, *asJSON, stdout, stderr)
-	case *listen != "":
-		return serve(cfg, *listen, *buildSize, *probeSize, *seed, stdout, stderr)
-	default:
-		fmt.Fprintln(stderr, "joinserver: nothing to do (pass -listen or -loadtest)")
+	if *listen == "" {
+		fmt.Fprintln(stderr, "joinserver: nothing to do (pass -listen)")
 		fs.Usage()
 		return 2
 	}
-}
-
-// runLoadtest drives the closed loop, prints the report, and — under
-// -selfcheck — verifies the service's headline invariants: the cache
-// produced hits, overload produced typed sheds (not errors or queue
-// growth), and closing the server leaks no off-heap regions.
-func runLoadtest(cfg server.Config, lc server.LoadConfig, selfcheck, asJSON bool, stdout, stderr io.Writer) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	baseRegions := offheap.Outstanding()
-	s := server.Open(cfg)
-	report, err := server.RunLoad(ctx, s, lc)
-	if err != nil {
-		fmt.Fprintf(stderr, "joinserver: loadtest: %v\n", err)
-		s.Close()
-		return 1
-	}
-	if err := s.Close(); err != nil {
-		fmt.Fprintf(stderr, "joinserver: close: %v\n", err)
-		return 1
-	}
-	leaked := offheap.Outstanding() - baseRegions
-
-	if asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	} else {
-		fmt.Fprintln(stdout, report.String())
-	}
-
-	if !selfcheck {
-		return 0
-	}
-	failures := 0
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			failures++
-			fmt.Fprintf(stderr, "selfcheck: FAIL: "+format+"\n", args...)
-		}
-	}
-	check(leaked == 0, "%d off-heap regions leaked after Close", leaked)
-	check(report.Errors == 0, "%d unexpected query errors", report.Errors)
-	if lc.Overload {
-		check(report.Shed > 0, "overload run shed nothing")
-	} else {
-		check(report.Hits > 0, "no cache hits in a cacheable run")
-		check(report.Speedup > 1, "warm probe not faster than cold (%.2fx)", report.Speedup)
-		// Shedding needs its own pass: a fresh server with a budget that
-		// fits exactly one build, driven by uncacheable queries.
-		shed := overloadProbe(ctx, lc, stderr)
-		check(shed > 0, "overload probe shed nothing")
-	}
-	if failures > 0 {
-		return 1
-	}
-	fmt.Fprintln(stdout, "selfcheck: ok")
-	return 0
-}
-
-// overloadProbe runs a short overload burst against a deliberately
-// tiny admission budget and reports how many queries shed. The modeled
-// footprint is 16 B per build tuple (DESIGN.md §13), so a budget of
-// half the hot build's footprint admits queries one at a time and the
-// closed-loop surplus must shed with ErrOverloaded.
-func overloadProbe(ctx context.Context, lc server.LoadConfig, stderr io.Writer) int64 {
-	small := server.Open(server.Config{
-		MemoryBudget: 16 * int64(lc.BuildSize),
-		MaxQueued:    2,
-		AdmitWait:    5 * time.Millisecond,
-	})
-	defer small.Close()
-	probeCfg := lc
-	probeCfg.Duration = time.Second
-	probeCfg.Overload = true
-	probeCfg.ScanEvery = -1
-	rep, err := server.RunLoad(ctx, small, probeCfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "selfcheck: overload probe: %v\n", err)
-		return 0
-	}
-	return rep.Shed
+	return serve(cfg, *listen, *buildSize, *probeSize, *seed, stdout, stderr)
 }
 
 // serve registers a demo PK/FK workload (a query can reference "build"

@@ -1,14 +1,5 @@
 package join
 
-import (
-	"context"
-	"time"
-
-	"mmjoin/internal/exec"
-	"mmjoin/internal/hashtable"
-	"mmjoin/internal/tuple"
-)
-
 // Ablation algorithms: variants the paper discusses when explaining the
 // contradictions between earlier studies, but which are not among the
 // thirteen of Table 2. They register under AblationAlgorithms so that
@@ -43,119 +34,9 @@ func init() {
 		Description: "No-partitioning hash join with a latched chaining hash table " +
 			"(the Blanas-style implementation the 2011 study used)",
 		Paper: "Blanas et al. [7]",
-		New:   func() Algorithm { return &nopChainedJoin{} },
+		New: func() Algorithm {
+			return &globalJoin{name: "NOPC", design: DesignChained,
+				desc: "No-partitioning hash join with a latched chaining hash table"}
+		},
 	})
-}
-
-// nopChainedJoin is the no-partitioning join in its 2011 form: one
-// global chained hash table built concurrently under per-bucket latches.
-// Section 1 of the paper traces the NOP-vs-PRB contradictions between
-// studies to exactly this implementation difference (linked lists +
-// latches vs Lang's lock-free linear probing), so having both makes the
-// contradiction reproducible.
-type nopChainedJoin struct{}
-
-func (j *nopChainedJoin) Name() string { return "NOPC" }
-func (j *nopChainedJoin) Class() Class { return NoPartition }
-func (j *nopChainedJoin) Description() string {
-	return "No-partitioning hash join with a latched chaining hash table"
-}
-
-func (j *nopChainedJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
-	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext
-	return j.RunContext(context.Background(), build, probe, opts)
-}
-
-func (j *nopChainedJoin) RunContext(ctx context.Context, build, probe tuple.Relation, opts *Options) (*Result, error) {
-	o := opts.normalize()
-	res := &Result{
-		Algorithm:   "NOPC",
-		Threads:     o.Threads,
-		InputTuples: int64(len(build) + len(probe)),
-	}
-	pre := sink{materialize: o.Materialize}
-	build, probe = splitKindInputs(&o, build, probe, &pre)
-	pool := newPool(ctx, &o, res.Algorithm)
-	buildChunks := tuple.Chunks(len(build), o.Threads)
-	probeChunks := tuple.Chunks(len(probe), o.Threads)
-	sinks := make([]sink, o.Threads)
-	for i := range sinks {
-		sinks[i].materialize = o.Materialize
-	}
-
-	bstates := make([]batchState, o.Threads)
-	start := time.Now()
-	ht := hashtable.NewChainedTableArena(len(build), o.Hash, o.Arena)
-	defer ht.Free()
-	ht.PrepareConcurrent()
-	err := pool.Run("build", func(w *exec.Worker) {
-		c := buildChunks[w.ID]
-		bs := &bstates[w.ID]
-		w.Morsels(c.Len(), func(begin, end int) {
-			run := build[c.Begin+begin : c.Begin+end]
-			if !o.ScalarKernels {
-				bs.buildRunConcurrent(w, ht, run, hashtable.ChainedOpBytes)
-				return
-			}
-			for _, tp := range run {
-				ht.InsertConcurrent(tp)
-			}
-			w.AddBytes(int64(end-begin) * (tuple.Bytes + hashtable.ChainedOpBytes))
-		})
-	})
-	ht.FinishConcurrentBuild()
-	if err != nil {
-		return nil, err
-	}
-	if o.Kind.padsBuild() {
-		ht.EnableMatchTracking()
-	}
-	buildDone := time.Now()
-
-	err = pool.Run("probe", func(w *exec.Worker) {
-		s := &sinks[w.ID]
-		c := probeChunks[w.ID]
-		bs := &bstates[w.ID]
-		w.Morsels(c.Len(), func(begin, end int) {
-			run := probe[c.Begin+begin : c.Begin+end]
-			if o.Kind != Inner {
-				if o.ScalarKernels {
-					probeRunKind(o.Kind, ht, run, 0, s)
-					w.AddBytes(int64(end-begin) * (tuple.Bytes + hashtable.ChainedOpBytes))
-				} else {
-					bs.probeKindRun(w, o.Kind, ht, run, 0, hashtable.ChainedOpBytes, s)
-				}
-				return
-			}
-			if !o.ScalarKernels {
-				bs.probeRun(w, ht, run, 0, hashtable.ChainedOpBytes, s)
-				return
-			}
-			for _, tp := range run {
-				if p, ok := ht.Lookup(tp.Key); ok {
-					s.emit(p, tp.Payload)
-				}
-			}
-			w.AddBytes(int64(end-begin) * (tuple.Bytes + hashtable.ChainedOpBytes))
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if o.Kind.padsBuild() {
-		emitUnmatchedBuild(nil, ht, &sinks[0])
-	}
-	end := time.Now()
-
-	res.BuildOrPartition = buildDone.Sub(start)
-	res.ProbeOrJoin = end.Sub(buildDone)
-	res.Total = end.Sub(start)
-	mergeSinks(res, sinks)
-	mergePre(res, &pre)
-
-	if o.Traffic != nil {
-		accountNoPartitionTraffic(&o, len(build), len(probe), ht.SizeBytes())
-	}
-	res.Exec = pool.Stats()
-	return res, nil
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"time"
 
-	"mmjoin/internal/exec"
-	"mmjoin/internal/hashtable"
-	"mmjoin/internal/numa"
 	"mmjoin/internal/tuple"
 )
 
@@ -16,45 +13,72 @@ func init() {
 		Class:       NoPartition,
 		Description: "No-partitioning hash join (lock-free linear probing, CAS inserts)",
 		Paper:       "Lang et al. [14]",
-		New:         func() Algorithm { return &nopJoin{name: "NOP"} },
+		New: func() Algorithm {
+			return &globalJoin{name: "NOP", design: DesignLinear, desc: "No-partitioning hash join"}
+		},
 	})
 	register(Spec{
 		Name:        "NOPA",
 		Class:       NoPartition,
 		Description: "Same as NOP except using an array as the hash table",
 		Paper:       "this",
-		New:         func() Algorithm { return &nopJoin{name: "NOPA", array: true} },
+		New: func() Algorithm {
+			return &globalJoin{name: "NOPA", design: DesignArray, desc: "Same as NOP except using an array as the hash table"}
+		},
+	})
+	register(Spec{
+		Name:        "CHTJ",
+		Class:       NoPartition,
+		Description: "Concise hash table join",
+		Paper:       "Barber et al. [17]",
+		New: func() Algorithm {
+			return &globalJoin{name: "CHTJ", design: DesignCHT, desc: "Concise hash table join"}
+		},
 	})
 }
 
-// nopJoin is the no-partitioning hash join of Lang et al.: all threads
-// build one global hash table over their chunks of the build relation
-// (lock-free CAS inserts into an interleaved allocation), then all
-// threads probe their chunks of the probe relation. nopJoin also covers
-// NOPA, which swaps the linear-probing table for a key-indexed array
-// (Section 5.2). The build side must hold unique keys (the paper's
-// primary-key workloads).
-type nopJoin struct {
-	name  string
-	array bool
+// globalJoin is a no-partitioning hash join: all threads build one
+// global hash table over their chunks of the build relation
+// (buildGlobal), then all threads probe their chunks of the probe
+// relation against it (probeGlobal). The algorithms differ only in the
+// table design:
+//
+//   - NOP (DesignLinear) is the join of Lang et al.: lock-free CAS
+//     inserts into one linear-probing table in an interleaved
+//     allocation.
+//   - NOPA (DesignArray) swaps the linear-probing table for a
+//     key-indexed array (Section 5.2).
+//   - CHTJ (DesignCHT) is the concise-hash-table join of Barber et al.:
+//     the build side is radix-partitioned by bitmap region so that each
+//     thread bulk-loads one disjoint region of a single global CHT
+//     without synchronization (Section 3.2). The paper classifies it as
+//     a no-partitioning join because the partitioning only parallelizes
+//     the bulkload; the join itself runs against one global structure.
+//   - NOPC (DesignChained, an ablation) is the join in its 2011
+//     Blanas-style form: one global chained table built concurrently
+//     under per-bucket latches. Section 1 of the paper traces the
+//     NOP-vs-PRB contradictions between studies to exactly this
+//     difference (linked lists + latches vs lock-free linear probing),
+//     so having both makes the contradiction reproducible.
+//
+// The build side must hold unique keys (the paper's primary-key
+// workloads): every probe is a first-match lookup.
+type globalJoin struct {
+	name   string
+	design TableDesign
+	desc   string
 }
 
-func (j *nopJoin) Name() string { return j.name }
-func (j *nopJoin) Class() Class { return NoPartition }
+func (j *globalJoin) Name() string        { return j.name }
+func (j *globalJoin) Class() Class        { return NoPartition }
+func (j *globalJoin) Description() string { return j.desc }
 
-func (j *nopJoin) Description() string {
-	if j.array {
-		return "Same as NOP except using an array as the hash table"
-	}
-	return "No-partitioning hash join"
-}
-
-func (j *nopJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
+func (j *globalJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext
 	return j.RunContext(context.Background(), build, probe, opts)
 }
 
-func (j *nopJoin) RunContext(ctx context.Context, build, probe tuple.Relation, opts *Options) (*Result, error) {
+func (j *globalJoin) RunContext(ctx context.Context, build, probe tuple.Relation, opts *Options) (*Result, error) {
 	o := opts.normalize()
 	res := &Result{
 		Algorithm:   j.name,
@@ -63,128 +87,36 @@ func (j *nopJoin) RunContext(ctx context.Context, build, probe tuple.Relation, o
 	}
 	pre := sink{materialize: o.Materialize}
 	build, probe = splitKindInputs(&o, build, probe, &pre)
-	domain := o.Domain
-	if j.array && domain == 0 {
-		domain = maxKeyDomain(build)
+	if j.design == DesignArray && o.Domain == 0 {
+		// Input preparation, like the null prelude: NOPA's timed build
+		// starts from a known key domain.
+		o.Domain = maxKeyDomain(build)
 	}
-
 	pool := newPool(ctx, &o, res.Algorithm)
-	buildChunks := tuple.Chunks(len(build), o.Threads)
-	probeChunks := tuple.Chunks(len(probe), o.Threads)
 	sinks := make([]sink, o.Threads)
 	for i := range sinks {
 		sinks[i].materialize = o.Materialize
 	}
 
-	// Per-worker batch plumbing for the batched build and probe morsels.
-	bstates := make([]batchState, o.Threads)
-
 	start := time.Now()
-	var at *hashtable.ArrayTable
-	var lt *hashtable.LinearTable
-	var err error
-	if j.array {
-		at = hashtable.NewArrayTableArena(0, domain, o.Arena)
-		defer at.Free()
-		err = pool.Run("build", func(w *exec.Worker) {
-			c := buildChunks[w.ID]
-			bs := &bstates[w.ID]
-			w.Morsels(c.Len(), func(begin, end int) {
-				run := build[c.Begin+begin : c.Begin+end]
-				if o.ScalarKernels {
-					for _, tp := range run {
-						at.InsertConcurrent(tp)
-					}
-					w.AddBytes(int64(end-begin) * (tuple.Bytes + hashtable.ArrayOpBytes))
-				} else {
-					bs.buildRunConcurrent(w, at, run, hashtable.ArrayOpBytes)
-				}
-			})
-		})
-		at.FinishConcurrentBuild()
-	} else {
-		lt = hashtable.NewLinearTableArena(len(build), o.Hash, o.Arena)
-		defer lt.Free()
-		err = pool.Run("build", func(w *exec.Worker) {
-			c := buildChunks[w.ID]
-			bs := &bstates[w.ID]
-			w.Morsels(c.Len(), func(begin, end int) {
-				run := build[c.Begin+begin : c.Begin+end]
-				if o.ScalarKernels {
-					for _, tp := range run {
-						lt.InsertConcurrent(tp)
-					}
-					w.AddBytes(int64(end-begin) * (tuple.Bytes + hashtable.LinearOpBytes))
-				} else {
-					bs.buildRunConcurrent(w, lt, run, hashtable.LinearOpBytes)
-				}
-			})
-		})
-	}
+	ht, free, err := buildGlobal(pool, build, j.design, &o)
 	if err != nil {
 		return nil, err
 	}
-	var kt kindProbeTable
-	if j.array {
-		kt = at
-	} else {
-		kt = lt
-	}
+	defer free()
 	if o.Kind.padsBuild() {
-		kt.EnableMatchTracking()
+		ht.EnableMatchTracking()
 	}
 	buildDone := time.Now()
 
-	err = pool.Run("probe", func(w *exec.Worker) {
-		s := &sinks[w.ID]
-		c := probeChunks[w.ID]
-		bs := &bstates[w.ID]
-		op := int64(hashtable.LinearOpBytes)
-		if j.array {
-			op = hashtable.ArrayOpBytes
-		}
-		w.Morsels(c.Len(), func(begin, end int) {
-			run := probe[c.Begin+begin : c.Begin+end]
-			if o.Kind != Inner {
-				if o.ScalarKernels {
-					probeRunKind(o.Kind, kt, run, 0, s)
-					w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
-				} else {
-					bs.probeKindRun(w, o.Kind, kt, run, 0, op, s)
-				}
-				return
-			}
-			switch {
-			case !o.ScalarKernels && j.array:
-				bs.probeRun(w, at, run, 0, op, s)
-				return
-			case !o.ScalarKernels:
-				bs.probeRun(w, lt, run, 0, op, s)
-				return
-			case j.array:
-				for _, tp := range run {
-					if p, ok := at.Lookup(tp.Key); ok {
-						s.emit(p, tp.Payload)
-					}
-				}
-			default:
-				for _, tp := range run {
-					if p, ok := lt.Lookup(tp.Key); ok {
-						s.emit(p, tp.Payload)
-					}
-				}
-			}
-			w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
-		})
-	})
-	if err != nil {
+	if err := probeGlobal(pool, ht, probe, tableOpBytes(j.design), &o, sinks); err != nil {
 		return nil, err
 	}
 	if o.Kind.padsBuild() {
 		// Right/full-outer post-pass: pad the build entries no probe
 		// matched. Single-threaded — the walk is one streaming read of
 		// the table, shared by the scalar and batched flavors.
-		emitUnmatchedBuild(nil, kt, &sinks[0])
+		emitUnmatchedBuild(nil, ht, &sinks[0])
 	}
 	end := time.Now()
 
@@ -195,51 +127,15 @@ func (j *nopJoin) RunContext(ctx context.Context, build, probe tuple.Relation, o
 	mergePre(res, &pre)
 
 	if o.Traffic != nil {
-		var tableBytes int64
-		if j.array {
-			tableBytes = at.SizeBytes()
-		} else {
-			tableBytes = lt.SizeBytes()
+		lines := 1
+		if j.design == DesignCHT {
+			// CHT probes cost two dependent random accesses (bitmap
+			// group, then dense array) — the 2x cache-miss factor of
+			// Table 4.
+			lines = 2
 		}
-		accountNoPartitionTraffic(&o, len(build), len(probe), tableBytes)
+		accountNoPartitionTraffic(&o, len(build), len(probe), lines)
 	}
 	res.Exec = pool.Stats()
 	return res, nil
-}
-
-// accountNoPartitionTraffic charges the NUMA traffic model of a
-// no-partitioning join: every worker streams its input chunks from their
-// chunked home regions and performs one cache-line-sized random access
-// into the page-interleaved global table per build and probe tuple
-// (two for CHTJ, which passes perProbeLines=2).
-func accountNoPartitionTraffic(o *Options, buildLen, probeLen int, tableBytes int64) {
-	accountNoPartitionTrafficLines(o, buildLen, probeLen, tableBytes, 1)
-}
-
-func accountNoPartitionTrafficLines(o *Options, buildLen, probeLen int, tableBytes int64, perProbeLines int) {
-	topo := o.Topology
-	buildRegion := numa.Place(topo, numa.Chunked, int64(buildLen)*tuple.Bytes, 0)
-	probeRegion := numa.Place(topo, numa.Chunked, int64(probeLen)*tuple.Bytes, 0)
-	_ = tableBytes
-	buildChunks := tuple.Chunks(buildLen, o.Threads)
-	probeChunks := tuple.Chunks(probeLen, o.Threads)
-	for w := 0; w < o.Threads; w++ {
-		node := topo.NodeOfWorker(w, o.Threads)
-		bc, pc := buildChunks[w], probeChunks[w]
-		if bc.Len() > 0 {
-			o.Traffic.AddReadRegion(node, buildRegion, int64(bc.Begin)*tuple.Bytes, int64(bc.End)*tuple.Bytes)
-		}
-		if pc.Len() > 0 {
-			o.Traffic.AddReadRegion(node, probeRegion, int64(pc.Begin)*tuple.Bytes, int64(pc.End)*tuple.Bytes)
-		}
-		// Random table accesses hit the interleaved allocation evenly:
-		// one line written per build tuple, perProbeLines read per
-		// probe tuple.
-		perNodeBuild := int64(bc.Len()) * tuple.CacheLineBytes / int64(topo.Nodes)
-		perNodeProbe := int64(pc.Len()) * tuple.CacheLineBytes * int64(perProbeLines) / int64(topo.Nodes)
-		for m := 0; m < topo.Nodes; m++ {
-			o.Traffic.AddWrite(node, m, perNodeBuild)
-			o.Traffic.AddRead(node, m, perNodeProbe)
-		}
-	}
 }

@@ -11,16 +11,17 @@ import (
 	"mmjoin/internal/tuple"
 )
 
-// Cache-aware table construction: the join service (internal/server)
-// caches ready build-side hash tables keyed by relation fingerprint, so
-// the build phase of a hot relation is paid once and every later query
-// runs probe-only. This file splits the algorithms' fused
-// build-then-probe shape into two standalone halves — BuildTable
-// produces a BuiltTable that outlives one execution, ProbeTable runs
-// the probe phase of a Table 2 no-partitioning join against it — while
-// keeping the storage discipline of the fused joins: table storage is
-// drawn from Options.Arena (possibly off-heap) and returned through the
-// tables' existing Free paths exactly once, at Release.
+// The no-partitioning pipeline: buildGlobal builds one global table of
+// a given design, probeGlobal probes it. The fused joins (NOP, NOPA,
+// NOPC, CHTJ; see nop.go) run both halves on one pool with per-query
+// match tracking. The join service (internal/server) caches ready
+// build-side tables keyed by relation fingerprint, so the build phase
+// of a hot relation is paid once and every later query runs
+// probe-only: BuildTable runs the build half into a BuiltTable that
+// outlives one execution, ProbeTable runs the probe half against it.
+// Table storage is drawn from Options.Arena (possibly off-heap) and
+// returned through the tables' existing Free paths exactly once, at
+// Release.
 
 // TableDesign selects which of the six hash-table designs backs a
 // cached build table. The designs are exactly the structures the Table
@@ -80,11 +81,12 @@ func TableDesigns() []TableDesign {
 		DesignArray, DesignCHT, DesignSparse}
 }
 
-// cachedProbeTable is the read-only slice of the table API a cached
-// probe needs; all six designs implement it.
-type cachedProbeTable interface {
-	Lookup(k tuple.Key) (tuple.Payload, bool)
-	ForEachMatch(k tuple.Key, fn func(tuple.Payload))
+// globalTable is the table contract of the no-partitioning pipeline:
+// the kind probe paths (first-match lookups, match tracking, the
+// unmatched post-pass), the batched inner probe and the storage
+// footprint. All six designs implement it.
+type globalTable interface {
+	kindProbeTable
 	SizeBytes() int64
 	ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *hashtable.BatchScratch, out *hashtable.MatchBatch)
 }
@@ -98,7 +100,7 @@ type cachedProbeTable interface {
 // use-after-free the cache's refcount pinning exists to prevent.
 type BuiltTable struct {
 	design   TableDesign
-	table    cachedProbeTable
+	table    globalTable
 	free     func()
 	bytes    int64
 	buildLen int
@@ -131,9 +133,7 @@ func (bt *BuiltTable) Release() {
 	if bt.released.Swap(true) {
 		panic("join: BuiltTable.Release called twice")
 	}
-	if bt.free != nil {
-		bt.free()
-	}
+	bt.free()
 }
 
 // tableOpBytes is the modeled per-probe traffic of each design (see
@@ -152,19 +152,15 @@ func tableOpBytes(d TableDesign) int64 {
 }
 
 // BuildTable runs the build phase of a no-partitioning join in
-// isolation: a morsel-driven parallel build of one global table of the
-// given design over the build relation. Chained, linear and array
-// designs build concurrently from all workers (latched, CAS and atomic
-// protocols respectively); the CHT bulk-loads disjoint bitmap regions
-// per worker exactly like CHTJ; Robin Hood and sparse are single-writer
-// structures, so one worker inserts while the pool keeps cancellation
-// responsive at morsel boundaries.
+// isolation: buildGlobal on a pool of its own, the same build half the
+// fused NOP, NOPA, NOPC and CHTJ run.
 //
 // The inputs carry the same contract as the fused joins: cached tables
 // serve inner joins over null-free keys (Options.NullableKeys is
 // rejected — null padding is per-query state that cannot live in a
-// shared table), and DesignArray additionally requires unique build
-// keys, like NOPA.
+// shared table), and the build keys must be unique, because every
+// probe is a first-match lookup: a duplicate key's other entries are
+// never returned.
 //
 // On success the caller owns the returned BuiltTable and must Release
 // it; on error (including cancellation) all storage has already been
@@ -177,15 +173,40 @@ func BuildTable(ctx context.Context, build tuple.Relation, design TableDesign, o
 	if o.NullableKeys {
 		return nil, fmt.Errorf("join: cached tables do not support nullable keys")
 	}
-
 	pool := newPool(ctx, &o, "BUILD("+design.String()+")")
+	start := time.Now()
+	table, free, err := buildGlobal(pool, build, design, &o)
+	if err != nil {
+		return nil, err
+	}
+	return &BuiltTable{
+		design:   design,
+		table:    table,
+		free:     free,
+		bytes:    table.SizeBytes(),
+		buildLen: len(build),
+		buildDur: time.Since(start),
+	}, nil
+}
+
+// buildGlobal is the build half of every no-partitioning join: a
+// morsel-driven parallel build of one global table of the given design
+// over the build relation, on pool. Chained, linear and array designs
+// build concurrently from all workers (latched, CAS and atomic
+// protocols respectively); the CHT bulk-loads disjoint bitmap regions
+// per worker (CHTJ's classify-then-bulkload); Robin Hood and sparse are
+// single-writer structures, so one worker inserts while the pool keeps
+// cancellation responsive at morsel boundaries.
+//
+// On success the caller owns the table and must call free exactly
+// once; on error the storage has already been freed.
+func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *Options) (globalTable, func(), error) {
 	buildChunks := tuple.Chunks(len(build), o.Threads)
 	bstates := make([]batchState, o.Threads)
 	op := tableOpBytes(design)
-	start := time.Now()
 
-	// concurrentBuild drives the shared-global-table protocol of the
-	// no-partitioning joins (all workers insert their chunks at once).
+	// concurrentBuild drives the shared-global-table protocol (all
+	// workers insert their chunks at once).
 	concurrentBuild := func(ht batchConcurrentBuildTable, scalarInsert func(tuple.Tuple)) error {
 		return pool.Run("build", func(w *exec.Worker) {
 			c := buildChunks[w.ID]
@@ -219,7 +240,7 @@ func BuildTable(ctx context.Context, build tuple.Relation, design TableDesign, o
 		})
 	}
 
-	var table cachedProbeTable
+	var table globalTable
 	var free func()
 	var err error
 	switch design {
@@ -249,38 +270,37 @@ func BuildTable(ctx context.Context, build tuple.Relation, design TableDesign, o
 	case DesignSparse:
 		t := hashtable.NewSparseTable(len(build), o.Hash)
 		err = singleWriterBuild(t.Insert)
-		table, free = t, nil // heap-only: the collector reclaims it
+		table, free = t, func() {} // heap-only: the collector reclaims it
 	case DesignCHT:
-		table, free, err = buildCHT(pool, build, buildChunks, &o)
+		table, free, err = buildCHT(pool, build, buildChunks, o)
 	default:
-		return nil, fmt.Errorf("join: unknown table design %d", int(design))
+		return nil, nil, fmt.Errorf("join: unknown table design %d", int(design))
 	}
 	if err != nil {
-		if free != nil {
-			free()
-		}
-		return nil, err
+		free()
+		return nil, nil, err
 	}
-	return &BuiltTable{
-		design:   design,
-		table:    table,
-		free:     free,
-		bytes:    table.SizeBytes(),
-		buildLen: len(build),
-		buildDur: time.Since(start),
-	}, nil
+	return table, free, nil
 }
 
-// buildCHT is BuildTable's CHT leg: CHTJ's classify-then-bulkload
-// parallel build (each worker loads disjoint bitmap regions without
-// synchronization), detached from CHTJ's probe phase.
-func buildCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (cachedProbeTable, func(), error) {
-	// Spread the hash over the 8n bitmap buckets, as in chtj.go.
+// buildCHT is buildGlobal's CHT leg: the build side is partitioned by
+// target bitmap region, then each region is bulk-loaded by one worker
+// without synchronization. On error the returned free releases the
+// partly loaded table.
+func buildCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (globalTable, func(), error) {
+	// Spread the hash over the 8n bitmap buckets: multiplying by the
+	// buckets-per-tuple factor maps a hash that is uniform over n table
+	// slots to one uniform over the bitmap, and keeps the identity hash
+	// collision-free for dense keys.
 	userHash := o.Hash
 	spread := func(k tuple.Key) uint64 { return userHash(k) * 8 }
 	builder := hashtable.NewCHTBuilderArena(len(build), o.Threads, spread, o.Arena)
 	regions := builder.Regions()
+	// The bulkload pulls region tasks in FIFO order (Exec.Queue).
+	pool.SetQueueStrategy("fifo")
 
+	// Step 1: each worker classifies its chunk into per-(worker,
+	// region) lists.
 	perWorker := make([][][]tuple.Tuple, o.Threads)
 	err := pool.Run("classify", func(w *exec.Worker) {
 		lists := make([][]tuple.Tuple, regions)
@@ -290,27 +310,28 @@ func buildCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, 
 				r := builder.RegionOf(tp.Key)
 				lists[r] = append(lists[r], tp)
 			}
-			w.AddBytes(2 * int64(end-begin) * tuple.Bytes)
+			w.AddBytes(2 * int64(end-begin) * tuple.Bytes) // read chunk + append to lists
 		})
 		perWorker[w.ID] = lists
-		w.AddAllocs(1)
+		w.AddAllocs(1) // per-region list set
 	})
 	if err != nil {
-		builder.Free()
-		return nil, nil, err
+		return nil, builder.Free, err
 	}
+	// Step 2: each region is bulk-loaded by one worker, pulling region
+	// tasks from a queue.
 	err = pool.RunQueue("bulkload", exec.NewRange(regions), func(w *exec.Worker, r int) {
 		var merged []tuple.Tuple
 		for _, lists := range perWorker {
 			merged = append(merged, lists[r]...)
 		}
 		builder.LoadRegion(r, merged)
+		// merge copy + bulk-load write of the region's tuples
 		w.AddBytes(int64(len(merged)) * (2*tuple.Bytes + hashtable.CHTOpBytes))
-		w.AddAllocs(1)
+		w.AddAllocs(1) // merged scratch
 	})
 	if err != nil {
-		builder.Free()
-		return nil, nil, err
+		return nil, builder.Free, err
 	}
 	cht := builder.Finalize()
 	return cht, cht.Free, nil
@@ -345,36 +366,12 @@ func ProbeTable(ctx context.Context, bt *BuiltTable, probe tuple.Relation, opts 
 		InputTuples: int64(len(probe)),
 	}
 	pool := newPool(ctx, &o, res.Algorithm)
-	probeChunks := tuple.Chunks(len(probe), o.Threads)
 	sinks := make([]sink, o.Threads)
 	for i := range sinks {
 		sinks[i].materialize = o.Materialize
 	}
-	bstates := make([]batchState, o.Threads)
-	ht := bt.table
-	op := tableOpBytes(bt.design)
-
 	start := time.Now()
-	err := pool.Run("probe", func(w *exec.Worker) {
-		s := &sinks[w.ID]
-		c := probeChunks[w.ID]
-		bs := &bstates[w.ID]
-		w.Morsels(c.Len(), func(begin, end int) {
-			run := probe[c.Begin+begin : c.Begin+end]
-			if !o.ScalarKernels {
-				bs.probeRun(w, ht, run, 0, op, s)
-				return
-			}
-			for _, tp := range run {
-				probePayload := tp.Payload
-				ht.ForEachMatch(tp.Key, func(p tuple.Payload) {
-					s.emit(p, probePayload)
-				})
-			}
-			w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
-		})
-	})
-	if err != nil {
+	if err := probeGlobal(pool, bt.table, probe, tableOpBytes(bt.design), &o, sinks); err != nil {
 		return nil, err
 	}
 	end := time.Now()
@@ -384,4 +381,42 @@ func ProbeTable(ctx context.Context, bt *BuiltTable, probe tuple.Relation, opts 
 	mergeSinks(res, sinks)
 	res.Exec = pool.Stats()
 	return res, nil
+}
+
+// probeGlobal is the probe half of every no-partitioning join: one
+// "probe" phase in which every worker probes its chunk of the probe
+// relation against ht with first-match lookups and emits into its sink
+// per Options.Kind, through the batch kernels or, under ScalarKernels,
+// tuple at a time. op is the design's modeled per-probe traffic; both
+// flavors charge the same bytes. The table is only read (match marks
+// aside, which are idempotent), so concurrent probeGlobal calls may
+// share one table.
+func probeGlobal(pool *exec.Pool, ht globalTable, probe tuple.Relation, op int64, o *Options, sinks []sink) error {
+	probeChunks := tuple.Chunks(len(probe), o.Threads)
+	bstates := make([]batchState, o.Threads)
+	return pool.Run("probe", func(w *exec.Worker) {
+		s := &sinks[w.ID]
+		c := probeChunks[w.ID]
+		bs := &bstates[w.ID]
+		w.Morsels(c.Len(), func(begin, end int) {
+			run := probe[c.Begin+begin : c.Begin+end]
+			switch {
+			case !o.ScalarKernels && o.Kind == Inner:
+				bs.probeRun(w, ht, run, 0, op, s)
+				return
+			case !o.ScalarKernels:
+				bs.probeKindRun(w, o.Kind, ht, run, 0, op, s)
+				return
+			case o.Kind == Inner:
+				for _, tp := range run {
+					if p, ok := ht.Lookup(tp.Key); ok {
+						s.emit(p, tp.Payload)
+					}
+				}
+			default:
+				probeRunKind(o.Kind, ht, run, 0, s)
+			}
+			w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
+		})
+	})
 }

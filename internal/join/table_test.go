@@ -9,6 +9,7 @@ import (
 
 	"mmjoin/internal/datagen"
 	"mmjoin/internal/exec"
+	"mmjoin/internal/tuple"
 )
 
 func tableTestWorkload(t *testing.T) *datagen.Workload {
@@ -71,6 +72,42 @@ func TestBuildProbeMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestProbeTableScalarMatchesBatch pins the first-match contract of
+// the cached path: on a build side with a duplicate key (outside the
+// unique-key contract, so both flavors must at least agree), the scalar
+// probe returns exactly what the batch kernels return — one match per
+// found probe key — for every design that accepts duplicates.
+func TestProbeTableScalarMatchesBatch(t *testing.T) {
+	build := tuple.Relation{{Key: 1, Payload: 10}, {Key: 1, Payload: 11}, {Key: 2, Payload: 20}}
+	probe := tuple.Relation{{Key: 1, Payload: 100}, {Key: 2, Payload: 200}}
+	for _, design := range TableDesigns() {
+		if design == DesignArray {
+			continue // one slot per key: a duplicate overwrites
+		}
+		t.Run(design.String(), func(t *testing.T) {
+			bt, err := BuildTable(context.Background(), build, design, &Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bt.Release()
+			batch, err := ProbeTable(context.Background(), bt, probe, &Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalar, err := ProbeTable(context.Background(), bt, probe, &Options{Threads: 1, ScalarKernels: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch.Matches != 2 || scalar.Matches != batch.Matches {
+				t.Fatalf("matches: batch %d, scalar %d; want 2 each", batch.Matches, scalar.Matches)
+			}
+			if scalar.Checksum != batch.Checksum {
+				t.Fatalf("scalar and batch probes returned different build entries")
+			}
+		})
 	}
 }
 

@@ -147,3 +147,35 @@ func accountSortAndMergeTraffic(o *Options, p *radix.Partitioned) {
 		o.Traffic.AddReadRegion(node, region, lo, hi)
 	}
 }
+
+// accountNoPartitionTraffic charges the NUMA traffic model of a
+// no-partitioning join: every worker streams its input chunks from their
+// chunked home regions and performs one cache-line-sized random access
+// into the page-interleaved global table per build tuple, and
+// perProbeLines per probe tuple (two for CHTJ).
+func accountNoPartitionTraffic(o *Options, buildLen, probeLen int, perProbeLines int) {
+	topo := o.Topology
+	buildRegion := numaRegionFor(o, buildLen)
+	probeRegion := numaRegionFor(o, probeLen)
+	buildChunks := tuple.Chunks(buildLen, o.Threads)
+	probeChunks := tuple.Chunks(probeLen, o.Threads)
+	for w := 0; w < o.Threads; w++ {
+		node := topo.NodeOfWorker(w, o.Threads)
+		bc, pc := buildChunks[w], probeChunks[w]
+		if bc.Len() > 0 {
+			o.Traffic.AddReadRegion(node, buildRegion, int64(bc.Begin)*tuple.Bytes, int64(bc.End)*tuple.Bytes)
+		}
+		if pc.Len() > 0 {
+			o.Traffic.AddReadRegion(node, probeRegion, int64(pc.Begin)*tuple.Bytes, int64(pc.End)*tuple.Bytes)
+		}
+		// Random table accesses hit the interleaved allocation evenly:
+		// one line written per build tuple, perProbeLines read per
+		// probe tuple.
+		perNodeBuild := int64(bc.Len()) * tuple.CacheLineBytes / int64(topo.Nodes)
+		perNodeProbe := int64(pc.Len()) * tuple.CacheLineBytes * int64(perProbeLines) / int64(topo.Nodes)
+		for m := 0; m < topo.Nodes; m++ {
+			o.Traffic.AddWrite(node, m, perNodeBuild)
+			o.Traffic.AddRead(node, m, perNodeProbe)
+		}
+	}
+}

@@ -397,7 +397,8 @@ func (s *Server) FlushCache() int { return s.cache.flush() }
 // Close drains in-flight queries, releases every cached table, and
 // destroys the private arena (returning off-heap regions to the OS).
 // After Close the offheap region balance is back to its pre-Open level
-// — the leak assertion the loadtest self-check runs.
+// — the leak assertion TestConcurrentQueriesStress and the perfbench
+// svc-mix workload run.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -10,7 +10,20 @@ import (
 
 	"mmjoin/internal/datagen"
 	"mmjoin/internal/join"
+	"mmjoin/internal/tuple"
 )
+
+// pkRelation builds a dense primary-key relation: every key in
+// [0, n) exactly once. Build sides must have unique keys — the paper's
+// workloads are PK/FK joins and the kernels' first-match lookups
+// depend on it — while probe sides may repeat keys freely.
+func pkRelation(n int) tuple.Relation {
+	rel := make(tuple.Relation, n)
+	for i := range rel {
+		rel[i] = tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(2*i + 1)}
+	}
+	return rel
+}
 
 // testWorkload returns a small deterministic build/probe pair plus the
 // reference join's matches and checksum.
