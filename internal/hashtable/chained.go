@@ -371,25 +371,6 @@ func (t *ChainedTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	}
 }
 
-// ForEachMatch implements Table.
-//
-//mmjoin:hotpath
-func (t *ChainedTable) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
-	b := &t.buckets[t.hash(k)&t.mask]
-	for {
-		cnt := int(b.meta & chainedCountMask)
-		for i := 0; i < cnt; i++ {
-			if b.tuples[i].Key == k {
-				fn(b.tuples[i].Payload)
-			}
-		}
-		if b.next == 0 {
-			return
-		}
-		b = &t.arena[b.next-1]
-	}
-}
-
 // Len implements Table.
 func (t *ChainedTable) Len() int { return t.n }
 

@@ -103,35 +103,6 @@ func (t *CHT) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	return 0, false
 }
 
-// ForEachMatch implements Table.
-func (t *CHT) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
-	h := t.bucketOf(k)
-	bucketCount := t.mask + 1
-	for d := uint64(0); d < chtMaxDisplacement; d++ {
-		pos := h + d
-		if pos >= bucketCount {
-			break // run hit the bitmap end
-		}
-		g := &t.groups[pos>>5]
-		off := uint(pos & 31)
-		if g.bits&(1<<off) == 0 {
-			break // first empty bucket terminates the probe run
-		}
-		idx := int(g.prefix) + bits.OnesCount32(g.bits&((1<<off)-1))
-		if t.array[idx].Key == k {
-			fn(t.array[idx].Payload)
-		}
-	}
-	// Tuples displaced past a region boundary or the displacement bound
-	// live in the overflow table; with dense keys it is empty and this
-	// is a single length check.
-	if len(t.overflow) > 0 {
-		for _, p := range t.overflow[k] {
-			fn(p)
-		}
-	}
-}
-
 // Len implements Table.
 func (t *CHT) Len() int { return t.n }
 

@@ -41,8 +41,6 @@ type Table interface {
 	// duplicate keys it returns one arbitrary match; the paper's
 	// workloads have unique build keys, making Lookup exact.
 	Lookup(k tuple.Key) (tuple.Payload, bool)
-	// ForEachMatch invokes fn for every tuple with the given key.
-	ForEachMatch(k tuple.Key, fn func(tuple.Payload))
 	// Len returns the number of tuples stored.
 	Len() int
 	// SizeBytes returns the memory footprint of the structure, the

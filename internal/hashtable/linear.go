@@ -166,23 +166,6 @@ func (t *LinearTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	return 0, false
 }
 
-// ForEachMatch implements Table.
-//
-//mmjoin:hotpath
-func (t *LinearTable) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
-	biased := uint32(k) + 1
-	i := t.hash(k) & t.mask
-	for probes := 0; probes <= int(t.mask); probes++ {
-		cur := t.keys[i]
-		if cur == biased {
-			fn(t.payloads[i])
-		} else if cur == 0 {
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // Len implements Table.
 func (t *LinearTable) Len() int { return int(atomic.LoadInt64(&t.n)) }
 

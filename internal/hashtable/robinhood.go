@@ -154,30 +154,6 @@ func (t *RobinHoodTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	return 0, false
 }
 
-// ForEachMatch implements Table.
-func (t *RobinHoodTable) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
-	key := uint32(k) + 1
-	i := t.hash(k) & t.mask
-	var d uint8
-	for probes := 0; probes <= int(t.mask); probes++ {
-		cur := t.keys[i]
-		if cur == 0 {
-			return
-		}
-		if cur == key {
-			fn(t.payloads[i])
-		} else if t.dist[i] < d && d < 255 {
-			// Past the point where the key could live. The saturated
-			// distance disables the early exit for very long runs.
-			return
-		}
-		i = (i + 1) & t.mask
-		if d < 255 {
-			d++
-		}
-	}
-}
-
 // Len implements Table.
 func (t *RobinHoodTable) Len() int { return t.n }
 

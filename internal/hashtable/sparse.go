@@ -117,22 +117,6 @@ func (t *SparseTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	return 0, false
 }
 
-// ForEachMatch implements Table.
-func (t *SparseTable) ForEachMatch(k tuple.Key, fn func(tuple.Payload)) {
-	pos := t.bucketOf(k)
-	for probes := uint64(0); probes <= t.mask; probes++ {
-		g := &t.groups[pos>>5]
-		off := uint(pos & 31)
-		if g.bits&(1<<off) == 0 {
-			return
-		}
-		if e := g.dense[g.denseIndex(off)]; e.Key == k {
-			fn(e.Payload)
-		}
-		pos = (pos + 1) & t.mask
-	}
-}
-
 // Delete removes one tuple with the given key and reports whether one
 // was found — the operation the CHT gives up to stay bulk-loaded.
 // Deletion leaves a tombstone-free table by back-shifting within probe

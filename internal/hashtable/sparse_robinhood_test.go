@@ -174,10 +174,11 @@ func TestRobinHoodDuplicates(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rh.Insert(tuple.Tuple{Key: 7, Payload: tuple.Payload(i)})
 	}
-	count := 0
-	rh.ForEachMatch(7, func(tuple.Payload) { count++ })
-	if count != 5 {
-		t.Fatalf("found %d duplicates, want 5", count)
+	if rh.Len() != 5 {
+		t.Fatalf("Len = %d after 5 duplicate inserts", rh.Len())
+	}
+	if p, ok := rh.Lookup(7); !ok || p >= 5 {
+		t.Fatalf("Lookup(7) = %d,%v, want one of the duplicates", p, ok)
 	}
 }
 

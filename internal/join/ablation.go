@@ -27,6 +27,20 @@ func NewAny(name string) (Algorithm, error) {
 	return New(name)
 }
 
+// describe returns the registered Spec.Description of the named
+// algorithm, from either registry: the one description every
+// Algorithm.Description reports.
+func describe(name string) string {
+	for _, reg := range [][]Spec{registry, ablationRegistry} {
+		for _, s := range reg {
+			if s.Name == name {
+				return s.Description
+			}
+		}
+	}
+	return name
+}
+
 func init() {
 	registerAblation(Spec{
 		Name:  "NOPC",
@@ -35,8 +49,7 @@ func init() {
 			"(the Blanas-style implementation the 2011 study used)",
 		Paper: "Blanas et al. [7]",
 		New: func() Algorithm {
-			return &globalJoin{name: "NOPC", design: DesignChained,
-				desc: "No-partitioning hash join with a latched chaining hash table"}
+			return &globalJoin{name: "NOPC", design: DesignChained}
 		},
 	})
 }

@@ -42,11 +42,9 @@ const adaptSampleTuples = exec.MorselTuples
 
 type adaptiveJoin struct{}
 
-func (j *adaptiveJoin) Name() string { return "ADAPT" }
-func (j *adaptiveJoin) Class() Class { return Adaptive }
-func (j *adaptiveJoin) Description() string {
-	return "Runtime adaptive picker: first-morsel sampling into the advisor, HYBRID under memory pressure"
-}
+func (j *adaptiveJoin) Name() string        { return "ADAPT" }
+func (j *adaptiveJoin) Class() Class        { return Adaptive }
+func (j *adaptiveJoin) Description() string { return describe("ADAPT") }
 
 func (j *adaptiveJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext

@@ -59,11 +59,9 @@ func hybridFootprint(n int) int64 { return int64(n) * hybridTupleFootprint }
 
 type hybridJoin struct{}
 
-func (j *hybridJoin) Name() string { return "HYBRID" }
-func (j *hybridJoin) Class() Class { return Partition }
-func (j *hybridJoin) Description() string {
-	return "Memory-budgeted hybrid hash join with partition spilling, role reversal and a BNL floor"
-}
+func (j *hybridJoin) Name() string        { return "HYBRID" }
+func (j *hybridJoin) Class() Class        { return Partition }
+func (j *hybridJoin) Description() string { return describe("HYBRID") }
 
 func (j *hybridJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext

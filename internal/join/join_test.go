@@ -75,6 +75,20 @@ func TestRegistryClassesMatchTable1(t *testing.T) {
 	}
 }
 
+// TestDescriptionIsSpecDescription checks that every algorithm in both
+// registries describes itself with the text it registered.
+func TestDescriptionIsSpecDescription(t *testing.T) {
+	for _, spec := range append(Algorithms(), AblationAlgorithms()...) {
+		a, err := NewAny(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Description(); got != spec.Description {
+			t.Errorf("%s: Description() = %q, want the registered %q", spec.Name, got, spec.Description)
+		}
+	}
+}
+
 func TestNewUnknownAlgorithm(t *testing.T) {
 	if _, err := New("NOPE"); err == nil {
 		t.Fatal("expected error for unknown algorithm")

@@ -40,11 +40,9 @@ func init() {
 // sequentially — the same trade CPRL later made for hash joins.
 type mpsmJoin struct{}
 
-func (j *mpsmJoin) Name() string { return "MPSM" }
-func (j *mpsmJoin) Class() Class { return SortMerge }
-func (j *mpsmJoin) Description() string {
-	return "Massively parallel sort-merge join"
-}
+func (j *mpsmJoin) Name() string        { return "MPSM" }
+func (j *mpsmJoin) Class() Class        { return SortMerge }
+func (j *mpsmJoin) Description() string { return describe("MPSM") }
 
 func (j *mpsmJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext
@@ -94,7 +92,7 @@ func (j *mpsmJoin) RunContext(ctx context.Context, build, probe tuple.Relation, 
 	sRuns := make([]tuple.Relation, t)
 	err = pool.Run("sort", func(w *exec.Worker) {
 		rParts[w.ID] = mway.Sort(rParts[w.ID])
-		w.AddBytes(mway.SortPassBytes(len(rParts[w.ID])))
+		w.AddBytes(mway.SortPassBytes(rParts[w.ID]))
 		w.AddAllocs(1)
 		if w.Cancelled() {
 			return
@@ -105,7 +103,7 @@ func (j *mpsmJoin) RunContext(ctx context.Context, build, probe tuple.Relation, 
 		run := make(tuple.Relation, len(chunk))
 		copy(run, chunk)
 		sRuns[w.ID] = mway.Sort(run)
-		w.AddBytes(2*int64(len(chunk))*tuple.Bytes + mway.SortPassBytes(len(run)))
+		w.AddBytes(2*int64(len(chunk))*tuple.Bytes + mway.SortPassBytes(sRuns[w.ID]))
 		w.AddAllocs(2) // run copy + ping-pong scratch
 	})
 	if err != nil {

@@ -24,8 +24,9 @@ func init() {
 
 // mwayJoin is the m-way sort-merge join of Balkesen et al.: a single
 // radix-partitioning pass with software write-combine buffers creates
-// one co-partition pair per thread; each thread then merge-sorts its
-// partitions with multiway merging and joins them with a merge step.
+// one co-partition pair per thread; each thread then sorts its
+// partitions (mway.Sort, a radix sort standing in for the original's
+// SIMD merge sort) and joins them with a merge step.
 // Like the original implementation, it only accepts a power-of-two
 // thread count — the constraint that capped the paper's comparisons at
 // 32 threads (Section 4).
@@ -33,7 +34,7 @@ type mwayJoin struct{}
 
 func (j *mwayJoin) Name() string        { return "MWAY" }
 func (j *mwayJoin) Class() Class        { return SortMerge }
-func (j *mwayJoin) Description() string { return "Multi-way sort merge join" }
+func (j *mwayJoin) Description() string { return describe("MWAY") }
 
 func (j *mwayJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext
@@ -78,18 +79,18 @@ func (j *mwayJoin) RunContext(ctx context.Context, build, probe tuple.Relation, 
 		ps.Release(arena)
 	}
 
-	// Phase 1b: each thread merge-sorts its co-partition pair.
+	// Phase 1b: each thread sorts its co-partition pair.
 	sortedR := make([]tuple.Relation, o.Threads)
 	sortedS := make([]tuple.Relation, o.Threads)
 	err = pool.Run("sort", func(w *exec.Worker) {
 		sortedR[w.ID] = mway.Sort(pr.Part(w.ID))
-		w.AddBytes(mway.SortPassBytes(len(sortedR[w.ID])))
+		w.AddBytes(mway.SortPassBytes(sortedR[w.ID]))
 		w.AddAllocs(1) // ping-pong scratch
 		if w.Cancelled() {
 			return
 		}
 		sortedS[w.ID] = mway.Sort(ps.Part(w.ID))
-		w.AddBytes(mway.SortPassBytes(len(sortedS[w.ID])))
+		w.AddBytes(mway.SortPassBytes(sortedS[w.ID]))
 		w.AddAllocs(1)
 	})
 	if err != nil {
@@ -131,10 +132,9 @@ func (j *mwayJoin) RunContext(ctx context.Context, build, probe tuple.Relation, 
 	if o.Traffic != nil {
 		accountGlobalPartitionTraffic(&o, len(build), 1)
 		accountGlobalPartitionTraffic(&o, len(probe), 1)
-		// Sorting reads and writes each co-partition log-many times;
-		// charge two streaming passes (multiway merging's bandwidth
-		// argument) over the partition's home range, plus the merge
-		// join's final pass.
+		// Sorting reads and writes each co-partition a few times;
+		// the model charges two streaming passes over the partition's
+		// home range, plus the merge join's final pass.
 		accountSortAndMergeTraffic(&o, pr)
 		accountSortAndMergeTraffic(&o, ps)
 	}

@@ -14,7 +14,7 @@ func init() {
 		Description: "No-partitioning hash join (lock-free linear probing, CAS inserts)",
 		Paper:       "Lang et al. [14]",
 		New: func() Algorithm {
-			return &globalJoin{name: "NOP", design: DesignLinear, desc: "No-partitioning hash join"}
+			return &globalJoin{name: "NOP", design: DesignLinear}
 		},
 	})
 	register(Spec{
@@ -23,7 +23,7 @@ func init() {
 		Description: "Same as NOP except using an array as the hash table",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &globalJoin{name: "NOPA", design: DesignArray, desc: "Same as NOP except using an array as the hash table"}
+			return &globalJoin{name: "NOPA", design: DesignArray}
 		},
 	})
 	register(Spec{
@@ -32,7 +32,7 @@ func init() {
 		Description: "Concise hash table join",
 		Paper:       "Barber et al. [17]",
 		New: func() Algorithm {
-			return &globalJoin{name: "CHTJ", design: DesignCHT, desc: "Concise hash table join"}
+			return &globalJoin{name: "CHTJ", design: DesignCHT}
 		},
 	})
 }
@@ -66,12 +66,11 @@ func init() {
 type globalJoin struct {
 	name   string
 	design TableDesign
-	desc   string
 }
 
 func (j *globalJoin) Name() string        { return j.name }
 func (j *globalJoin) Class() Class        { return NoPartition }
-func (j *globalJoin) Description() string { return j.desc }
+func (j *globalJoin) Description() string { return describe(j.name) }
 
 func (j *globalJoin) Run(build, probe tuple.Relation, opts *Options) (*Result, error) {
 	//mmjoin:allow(ctxflow) Run is the documented context-free compatibility wrapper over RunContext

@@ -138,14 +138,7 @@ type radixJoin struct {
 func (j *radixJoin) Name() string { return j.name }
 func (j *radixJoin) Class() Class { return Partition }
 
-func (j *radixJoin) Description() string {
-	for _, s := range registry {
-		if s.Name == j.name {
-			return s.Description
-		}
-	}
-	return j.name
-}
+func (j *radixJoin) Description() string { return describe(j.name) }
 
 // prbTotalBits is PRB's fixed two-pass budget: 7 bits per pass
 // (Section 7.2: "In each of the two radix passes PRB partitions along

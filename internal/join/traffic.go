@@ -126,9 +126,9 @@ func accountChunkedJoinTraffic(o *Options, order []int, pr, ps *radix.ChunkedPar
 }
 
 // accountSortAndMergeTraffic charges MWAY's sort phase: each thread
-// streams its partition through two multiway-merge passes (read + write
-// each) plus the final merge-join read, all against the partition's home
-// range.
+// streams its partition through two read + write passes (a flat
+// stand-in for the sort's scatter passes) plus the final merge-join
+// read, all against the partition's home range.
 func accountSortAndMergeTraffic(o *Options, p *radix.Partitioned) {
 	topo := o.Topology
 	region := numaRegionFor(o, len(p.Data))

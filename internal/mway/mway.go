@@ -1,254 +1,112 @@
 // Package mway provides the sort-merge machinery behind the MWAY join of
 // Balkesen et al. (PVLDB 2013) as reproduced in Schuh et al.: sorting of
-// small runs with branch-light merge networks, multiway merging of many
-// runs through a tree of losers, and the final merge-join over two
-// sorted relations.
+// a co-partition and the final merge-join over two sorted relations.
 //
-// The original vectorizes its bitonic sort and merge networks with AVX;
-// Go has no intrinsics, so the networks here are scalar compare-exchange
-// sequences with identical structure (see DESIGN.md). Multi-way merging
-// is kept because its purpose — one pass over memory instead of log(n)
-// pairwise passes — is an algorithmic property, not a SIMD one.
+// The original forms sorted runs with AVX bitonic networks and merges
+// them through a multiway tree. Go has no intrinsics, and a scalar
+// comparison sort cost over 10x a radix partitioning pass per tuple, so
+// Sort is an LSD radix sort instead — the run former of MPSM (Albutiu
+// et al.). It sorts a whole co-partition, which leaves nothing to merge
+// before the join (see DESIGN.md).
 package mway
 
 import (
+	"math/bits"
+
 	"mmjoin/internal/tuple"
 )
 
-// sortRunSize is the length of the runs created by the in-place run
-// former before multiway merging takes over.
-const sortRunSize = 64
-
-// mergeFanIn is the maximum number of runs merged in one multiway pass.
-// 64 runs keeps the loser tree within the L1 cache while collapsing a
-// million-tuple partition in two passes.
-const mergeFanIn = 64
-
-// SortPassBytes is the modeled byte traffic of Sort on n tuples: one
-// read+write pass to form the runs, then one read+write pass per
-// multiway merge level (ceil(log_fanIn(n/runSize)) levels). Used by the
-// join drivers to attribute sort-phase bytes to the execution layer.
-func SortPassBytes(n int) int64 {
-	if n <= 1 {
-		return 0
-	}
-	passes := 1 // run forming
-	for runLen := sortRunSize; runLen < n; runLen *= mergeFanIn {
-		passes++
-	}
-	return int64(passes) * 2 * int64(n) * tuple.Bytes
-}
+// keyDigits is the number of 8-bit digits in a tuple.Key.
+const keyDigits = 4
 
 // Sort sorts rel by key (ascending; ties keep no particular order) and
-// returns the sorted relation. The input slice is used as one of the two
-// ping-pong buffers and may be reordered; the returned slice is either
-// the input or the internal scratch buffer.
+// returns the sorted relation. rel is one of the two ping-pong buffers
+// and may be reordered; the result is either rel or the scratch buffer.
+//
+// It is an LSD radix sort over 8-bit digits: one read pass builds all
+// four digit histograms, then each digit in which the keys are not all
+// equal takes one stable scatter pass into the other buffer.
 func Sort(rel tuple.Relation) tuple.Relation {
 	n := len(rel)
 	if n <= 1 {
 		return rel
 	}
-	for lo := 0; lo < n; lo += sortRunSize {
-		hi := lo + sortRunSize
-		if hi > n {
-			hi = n
-		}
-		sortRun(rel[lo:hi])
+	var hist [keyDigits][256]int
+	for _, t := range rel {
+		k := t.Key
+		hist[0][uint8(k)]++
+		hist[1][uint8(k>>8)]++
+		hist[2][uint8(k>>16)]++
+		hist[3][uint8(k>>24)]++
 	}
-	src := rel
-	dst := make(tuple.Relation, n)
-	runLen := sortRunSize
-	for runLen < n {
-		mergedLen := multiwayPass(dst, src, runLen)
+	k0 := rel[0].Key
+	src, dst := rel, tuple.Relation(nil)
+	for d := range hist {
+		shift := 8 * uint(d)
+		h := &hist[d]
+		if h[uint8(k0>>shift)] == n {
+			continue // every key shares this digit
+		}
+		if dst == nil {
+			dst = make(tuple.Relation, n)
+		}
+		sum := 0
+		for b, c := range h {
+			h[b] = sum
+			sum += c
+		}
+		for _, t := range src {
+			b := uint8(t.Key >> shift)
+			dst[h[b]] = t
+			h[b]++
+		}
 		src, dst = dst, src
-		runLen = mergedLen
 	}
 	return src
 }
 
-// sortRun sorts a short run in place. Runs of up to 4 tuples go through
-// explicit compare-exchange networks (the scalar analogue of the
-// original's 4-wide bitonic kernels); longer runs use insertion sort,
-// which is the right tool at this size.
-func sortRun(r tuple.Relation) {
-	switch len(r) {
-	case 0, 1:
-		return
-	case 2:
-		cmpExch(r, 0, 1)
-		return
-	case 3:
-		cmpExch(r, 0, 1)
-		cmpExch(r, 1, 2)
-		cmpExch(r, 0, 1)
-		return
-	case 4:
-		// 5-comparator sorting network for 4 elements.
-		cmpExch(r, 0, 1)
-		cmpExch(r, 2, 3)
-		cmpExch(r, 0, 2)
-		cmpExch(r, 1, 3)
-		cmpExch(r, 1, 2)
-		return
+// SortPassBytes is the byte traffic of the Sort that produced sorted: the
+// histogram read plus a read and a write of every tuple per scatter
+// pass. The join drivers charge it to the sort phase.
+func SortPassBytes(sorted tuple.Relation) int64 {
+	n := int64(len(sorted))
+	if n <= 1 {
+		return 0
 	}
-	// Sort 4-tuple blocks with the network, then insertion-merge.
-	for i := 1; i < len(r); i++ {
-		t := r[i]
-		j := i - 1
-		for j >= 0 && r[j].Key > t.Key {
-			r[j+1] = r[j]
-			j--
-		}
-		r[j+1] = t
-	}
+	return n*tuple.Bytes + int64(sortPasses(sorted))*2*n*tuple.Bytes
 }
 
-// cmpExch orders r[i] and r[j] — one comparator of a sorting network.
-func cmpExch(r tuple.Relation, i, j int) {
-	if r[i].Key > r[j].Key {
-		r[i], r[j] = r[j], r[i]
+// sortPasses counts the scatter passes Sort made: the digits in which the
+// keys of sorted are not all equal. Because sorted is in key order, the
+// first and last key agree on every digit above the highest one that
+// differs; the digits below it are checked by a scan that stops once each
+// has shown a second value, which dense and uniform keys do at once.
+func sortPasses(sorted tuple.Relation) int {
+	k0 := sorted[0].Key
+	top := k0 ^ sorted[len(sorted)-1].Key
+	if top == 0 {
+		return 0
 	}
-}
-
-// multiwayPass merges consecutive groups of up to mergeFanIn runs of
-// runLen tuples from src into dst and returns the new run length.
-func multiwayPass(dst, src tuple.Relation, runLen int) int {
-	n := len(src)
-	groupLen := runLen * mergeFanIn
-	for lo := 0; lo < n; lo += groupLen {
-		hi := lo + groupLen
-		if hi > n {
-			hi = n
-		}
-		mergeRuns(dst[lo:hi], src[lo:hi], runLen)
-	}
-	return groupLen
-}
-
-// mergeRuns merges the runs of src (each runLen long, last may be short)
-// into dst using a tree of losers.
-func mergeRuns(dst, src tuple.Relation, runLen int) {
-	runs := (len(src) + runLen - 1) / runLen
-	if runs == 1 {
-		copy(dst, src)
-		return
-	}
-	if runs == 2 {
-		merge2(dst, src[:runLen], src[runLen:])
-		return
-	}
-	heads := make([]tuple.Relation, runs)
-	for i := range heads {
-		lo := i * runLen
-		hi := lo + runLen
-		if hi > len(src) {
-			hi = len(src)
-		}
-		heads[i] = src[lo:hi]
-	}
-	lt := newLoserTree(heads)
-	for i := range dst {
-		dst[i] = lt.pop()
-	}
-}
-
-// merge2 is the classic two-way merge, used when the fan-in degenerates.
-func merge2(dst, a, b tuple.Relation) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Key <= b[j].Key {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
-}
-
-// loserTree is a tournament tree over k run cursors: pop returns the
-// globally smallest head in O(log k) comparisons with a linear memory
-// footprint, the structure behind bandwidth-saving multiway merges.
-// Head keys are cached next to the tree so the replay loop touches only
-// two small arrays.
-type loserTree struct {
-	runs []tuple.Relation // remaining tuples per run
-	tree []int            // internal nodes: loser run index; tree[0] = winner
-	keys []uint64         // cached head key per run (sentinel when drained)
-	k    int
-}
-
-const exhaustedKey = uint64(1) << 40
-
-func newLoserTree(runs []tuple.Relation) *loserTree {
-	k := len(runs)
-	lt := &loserTree{runs: runs, tree: make([]int, k), keys: make([]uint64, k), k: k}
-	for i := range lt.tree {
-		lt.tree[i] = -1
-	}
-	for r := 0; r < k; r++ {
-		if len(runs[r]) == 0 {
-			lt.keys[r] = exhaustedKey
-		} else {
-			lt.keys[r] = uint64(runs[r][0].Key)
+	want := (bits.Len32(top) + 7) / 8 // every digit up to the highest differing one
+	var diff tuple.Key
+	for _, t := range sorted {
+		diff |= t.Key ^ k0
+		if differingDigits(diff) == want {
+			break
 		}
 	}
-	// Play each run up the tree: a climb either fills the first empty
-	// node it meets (becoming a stored loser) or carries the winner all
-	// the way to tree[0]. Exactly one climb reaches the root.
-	for r := 0; r < k; r++ {
-		lt.adjust(r)
-	}
-	return lt
+	return differingDigits(diff)
 }
 
-// adjust replays run r from its leaf to the root during initialization.
-func (lt *loserTree) adjust(r int) {
-	node := (r + lt.k) / 2
-	cur := r
-	for node > 0 {
-		if lt.tree[node] == -1 {
-			lt.tree[node] = cur
-			return
-		}
-		if lt.keys[lt.tree[node]] < lt.keys[cur] {
-			cur, lt.tree[node] = lt.tree[node], cur
-		}
-		node /= 2
-	}
-	lt.tree[0] = cur
-}
-
-// pop removes and returns the smallest head among all runs. Calling pop
-// more times than there are tuples is a programming error.
-func (lt *loserTree) pop() tuple.Tuple {
-	w := lt.tree[0]
-	run := lt.runs[w]
-	t := run[0]
-	run = run[1:]
-	lt.runs[w] = run
-	if len(run) == 0 {
-		lt.keys[w] = exhaustedKey
-	} else {
-		lt.keys[w] = uint64(run[0].Key)
-	}
-	// Replay from the leaf: the new head competes against stored losers.
-	cur := w
-	curKey := lt.keys[w]
-	tree := lt.tree
-	keys := lt.keys
-	for node := (w + lt.k) / 2; node > 0; node /= 2 {
-		if l := tree[node]; l != -1 && keys[l] < curKey {
-			tree[node] = cur
-			cur = l
-			curKey = keys[l]
+// differingDigits counts the nonzero 8-bit digits of diff.
+func differingDigits(diff tuple.Key) int {
+	c := 0
+	for ; diff != 0; diff >>= 8 {
+		if uint8(diff) != 0 {
+			c++
 		}
 	}
-	tree[0] = cur
-	return t
+	return c
 }
 
 // IsSorted reports whether rel is ascending by key.

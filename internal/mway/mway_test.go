@@ -9,54 +9,126 @@ import (
 	"mmjoin/internal/tuple"
 )
 
-func TestSortRunNetworks(t *testing.T) {
-	for n := 0; n <= 4; n++ {
-		// All permutations of [0..n) via Heap's algorithm would be
-		// thorough; for n<=4 brute force over a few seeds suffices and
-		// we additionally check every rotation.
-		for rot := 0; rot < n+1; rot++ {
-			r := make(tuple.Relation, n)
-			for i := range r {
-				r[i] = tuple.Tuple{Key: tuple.Key((i + rot) % max(n, 1))}
-			}
-			sortRun(r)
-			if !IsSorted(r) {
-				t.Fatalf("n=%d rot=%d not sorted: %v", n, rot, r)
+// sortSizes cover the empty and single-tuple cases, one digit's worth of
+// keys on either side of 256, and a size whose dense keys need three
+// scatter passes.
+var sortSizes = []int{0, 1, 2, 255, 256, 257, 1<<16 + 3}
+
+// sortKeySets build an n-tuple relation with payloads 0..n-1 and keys
+// drawn so that different digits are shared: all of them, the top one
+// (dense), none (uniform over 32 bits), all but the top one, and a
+// skewed FK column.
+var sortKeySets = []struct {
+	name string
+	rel  func(t *testing.T, n int) tuple.Relation
+}{
+	{"equal", func(t *testing.T, n int) tuple.Relation {
+		return keyed(n, func(int) tuple.Key { return 0xdeadbeef })
+	}},
+	{"dense", func(t *testing.T, n int) tuple.Relation {
+		return keyed(n, func(i int) tuple.Key { return tuple.Key(n - 1 - i) })
+	}},
+	{"uniform32", func(t *testing.T, n int) tuple.Relation {
+		return datagen.UniformRelation(n, 1<<32, uint64(n)+1)
+	}},
+	{"topbyte", func(t *testing.T, n int) tuple.Relation {
+		rel := datagen.UniformRelation(n, 256, uint64(n)+2)
+		for i := range rel {
+			rel[i].Key = rel[i].Key<<24 | 0x5a5a5a
+		}
+		return rel
+	}},
+	{"zipf", func(t *testing.T, n int) tuple.Relation {
+		w, err := datagen.Generate(datagen.Config{BuildSize: 1 << 12, ProbeSize: n, Zipf: 0.9, HoleFactor: 7, Seed: uint64(n) + 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Probe
+	}},
+}
+
+func keyed(n int, key func(i int) tuple.Key) tuple.Relation {
+	rel := make(tuple.Relation, n)
+	for i := range rel {
+		rel[i] = tuple.Tuple{Key: key(i), Payload: tuple.Payload(i)}
+	}
+	return rel
+}
+
+// stdSorted returns a copy of rel ordered by key, then payload.
+func stdSorted(rel tuple.Relation) tuple.Relation {
+	out := append(tuple.Relation(nil), rel...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Key != out[j].Key {
+			return out[i].Key < out[j].Key
+		}
+		return out[i].Payload < out[j].Payload
+	})
+	return out
+}
+
+// wantPasses counts the digits in which rel's keys are not all equal —
+// the scatter passes Sort makes on it.
+func wantPasses(rel tuple.Relation) int {
+	passes := 0
+	for shift := 0; shift < 32; shift += 8 {
+		for _, tp := range rel {
+			if uint8(tp.Key>>shift) != uint8(rel[0].Key>>shift) {
+				passes++
+				break
 			}
 		}
 	}
+	return passes
 }
 
+// TestSortRandom checks, for every size and key set, that Sort returns
+// the key order of sort.Slice, and that SortPassBytes charges the
+// histogram read plus the scatter passes for exactly the digits the keys
+// do not share.
 func TestSortRandom(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000, sortRunSize * mergeFanIn, sortRunSize*mergeFanIn + 7, 300000} {
-		rel := datagen.UniformRelation(n, 1<<20, uint64(n)+1)
-		got := Sort(rel)
-		if len(got) != n {
-			t.Fatalf("n=%d: len changed to %d", n, len(got))
-		}
-		if !IsSorted(got) {
-			t.Fatalf("n=%d: not sorted", n)
+	for _, ks := range sortKeySets {
+		for _, n := range sortSizes {
+			rel := ks.rel(t, n)
+			want := stdSorted(rel)
+			passes := wantPasses(rel)
+			got := Sort(rel)
+			if len(got) != n {
+				t.Fatalf("%s n=%d: len changed to %d", ks.name, n, len(got))
+			}
+			if !IsSorted(got) {
+				t.Fatalf("%s n=%d: not sorted", ks.name, n)
+			}
+			for i := range want {
+				if got[i].Key != want[i].Key {
+					t.Fatalf("%s n=%d: key %d is %d, want %d", ks.name, n, i, got[i].Key, want[i].Key)
+				}
+			}
+			wantBytes := int64(0)
+			if n > 1 {
+				wantBytes = int64(n)*tuple.Bytes + int64(passes)*2*int64(n)*tuple.Bytes
+			}
+			if b := SortPassBytes(got); b != wantBytes {
+				t.Fatalf("%s n=%d: SortPassBytes = %d, want %d", ks.name, n, b, wantBytes)
+			}
 		}
 	}
 }
 
+// TestSortPreservesMultiset checks that Sort neither loses, duplicates
+// nor corrupts a tuple: its output, with ties put in payload order,
+// equals the sort.Slice copy tuple for tuple.
 func TestSortPreservesMultiset(t *testing.T) {
-	rel := datagen.UniformRelation(50000, 999, 5)
-	want := map[tuple.Tuple]int{}
-	for _, tp := range rel {
-		want[tp]++
-	}
-	got := Sort(rel)
-	gotCount := map[tuple.Tuple]int{}
-	for _, tp := range got {
-		gotCount[tp]++
-	}
-	if len(want) != len(gotCount) {
-		t.Fatal("distinct tuple count changed")
-	}
-	for k, v := range want {
-		if gotCount[k] != v {
-			t.Fatalf("tuple %v count %d -> %d", k, v, gotCount[k])
+	for _, ks := range sortKeySets {
+		for _, n := range sortSizes {
+			rel := ks.rel(t, n)
+			want := stdSorted(rel)
+			got := stdSorted(Sort(rel))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d: tuple %d is %v, want %v", ks.name, n, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -107,25 +179,6 @@ func TestSortPropertyAgainstStdlib(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLoserTreeManyRuns(t *testing.T) {
-	// Directly exercise fan-ins 3, 5, and 64 with uneven final runs.
-	for _, runs := range []int{3, 5, 64} {
-		var src tuple.Relation
-		runLen := 10
-		for r := 0; r < runs; r++ {
-			for i := 0; i < runLen; i++ {
-				src = append(src, tuple.Tuple{Key: tuple.Key(r + i*runs)})
-			}
-			sortRun(src[len(src)-runLen:])
-		}
-		dst := make(tuple.Relation, len(src))
-		mergeRuns(dst, src, runLen)
-		if !IsSorted(dst) {
-			t.Fatalf("fan-in %d merge not sorted", runs)
-		}
 	}
 }
 
@@ -192,13 +245,6 @@ func TestMergeJoinProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // MergeJoinBatched must emit exactly the pairs MergeJoin emits, in the
