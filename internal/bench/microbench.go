@@ -306,6 +306,16 @@ func microbenchSize(cfg MicrobenchConfig, lg int) ([]MicrobenchRecord, error) {
 		}
 	}
 
+	// The CHT has no insert: its build cell is the CHTJ bulkload of one
+	// region (claim, then scatter) into a fresh table.
+	for _, d := range dists {
+		cells = append(cells, &microCell{table: "cht", op: "build", kernel: "batch", dist: d, run: func() {
+			cb := hashtable.NewCHTBuilderArena(n, 1, hashfn.Murmur, arena)
+			cb.LoadRegion(0, tuples)
+			cb.Finalize().Free()
+		}})
+	}
+
 	defaultDist := hashtable.PrefetchDistance()
 	defer hashtable.SetPrefetchDistance(defaultDist)
 	runCell := func(c *microCell) {

@@ -999,14 +999,22 @@ func (t *ArrayTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payl
 // CHT
 // ---------------------------------------------------------------------
 //
-// The CHT is bulk-loaded through CHTBuilder (placement needs a global
-// bucket-order sort), so there is no BuildBatch; only the probe side is
-// batched.
+// The CHT is bulk-loaded through CHTBuilder (placement needs every
+// claim of a region before any rank is known), so there is no
+// BuildBatch; only the probe side is batched.
 
 // LookupBatch looks up every key of the batch; equivalent to Lookup per
 // key, marks included, and including the overflow-table fallback, which
 // is resolved with scalar map lookups for the lanes that missed the
 // bitmap.
+//
+// Round 0 is split in two passes so that neither of a probe's two
+// dependent misses waits on another lane: the first loads every lane's
+// home group and ranks its home bucket, the second compares the keys at
+// the ranked array slots. On tables too large for the caches the first
+// pass also prefetches the group pfd lanes ahead and each rank's array
+// line as soon as it is known. Only lanes whose home bucket holds
+// another key walk on, in the displacement rounds.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
@@ -1018,6 +1026,7 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 	t.hashB(h[:n], keys)
 	slots := s.slotBuf()
 	lanes := s.laneBuf()
+	ranks := s.curkBuf() // each lane's home rank (popcount ranks are uint32)
 	checkSpan(len(payloads), n)
 	checkSpan(len(found), n)
 	payloads = payloads[:n]
@@ -1029,15 +1038,53 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 	}
 	array := t.array
 	mask := t.mask
+	gmask := uint64(len(groups) - 1)
 	bucketCount := mask + 1
+	pfd := t.pfDist()
+	// Round 0, pass 1: rank every lane's home bucket; lanes whose home
+	// is empty are misses.
+	nc := 0
 	for li := 0; li < n; li++ {
-		h[li] &= mask
-		slots[li] = h[li]
-		lanes[li] = int32(li)
+		if p := li + pfd; pfd > 0 && p < n {
+			pf(unsafe.Pointer(&groups[((h[p&(BatchSize-1)]&mask)>>5)&gmask]))
+		}
+		pos := h[li] & mask
+		h[li] = pos
+		slots[li] = pos
 		payloads[li] = 0
 		found[li] = false
+		g := groups[(pos>>5)&gmask]
+		off := uint(pos & 31)
+		if g.bits&(1<<off) == 0 {
+			continue
+		}
+		r := g.prefix + uint32(bits.OnesCount32(g.bits&((1<<off)-1)))
+		if pfd > 0 && uint(r) < uint(len(array)) {
+			pf(unsafe.Pointer(&array[r]))
+		}
+		ranks[li] = r
+		lanes[nc&(BatchSize-1)] = int32(li)
+		nc++
 	}
-	nn := n
+	// Round 0, pass 2: compare the keys at the home ranks.
+	nn := 0
+	for a := 0; a < nc; a++ {
+		li := int(lanes[a&(BatchSize-1)])
+		if uint(li) >= uint(n) {
+			continue
+		}
+		if r := int(ranks[li]); r < len(array) {
+			if e := array[r]; e.Key == keys[li] {
+				payloads[li] = e.Payload
+				found[li] = true
+				continue
+			}
+		}
+		slots[li]++
+		lanes[nn&(BatchSize-1)] = int32(li)
+		nn++
+	}
+	// Displacement rounds: the surviving lanes walk on bucket by bucket.
 	for nn > 0 {
 		na := 0
 		for a := 0; a < nn; a++ {
@@ -1049,18 +1096,17 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 			if pos >= bucketCount || pos-h[li] >= chtMaxDisplacement {
 				continue
 			}
-			g := &groups[(pos>>5)&uint64(len(groups)-1)]
+			g := groups[(pos>>5)&gmask]
 			off := uint(pos & 31)
 			if g.bits&(1<<off) == 0 {
 				continue
 			}
-			idx := int(g.prefix) + bits.OnesCount32(g.bits&((1<<off)-1))
-			//mmjoin:allow(perfgate) idx is the popcount rank of an occupied bucket, in range of the dense array by CHT construction; prove cannot see the rank invariant
-			if array[idx].Key == keys[li] {
-				//mmjoin:allow(perfgate) same rank-derived index as the line above
-				payloads[li] = array[idx].Payload
-				found[li] = true
-				continue
+			if r := uint(g.prefix) + uint(bits.OnesCount32(g.bits&((1<<off)-1))); r < uint(len(array)) {
+				if e := array[r]; e.Key == keys[li] {
+					payloads[li] = e.Payload
+					found[li] = true
+					continue
+				}
 			}
 			slots[li] = pos + 1
 			lanes[na&(BatchSize-1)] = int32(li)
@@ -1074,7 +1120,7 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 		for li := 0; li < n; li++ {
 			if found[li] {
 				pos := slots[li]
-				g := &groups[(pos>>5)&uint64(len(groups)-1)]
+				g := groups[(pos>>5)&gmask]
 				off := uint(pos & 31)
 				//mmjoin:allow(perfgate) setMark's inlined word index idx>>6 carries the popcount-rank invariant prove cannot see
 				setMark(t.matched, int(g.prefix)+bits.OnesCount32(g.bits&((1<<off)-1)))

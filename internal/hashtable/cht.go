@@ -2,6 +2,8 @@ package hashtable
 
 import (
 	"math/bits"
+	"sync"
+	"unsafe"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/hashfn"
@@ -62,6 +64,24 @@ const chtBucketsPerTuple = 8
 // spill to the overflow table. Two bitmap words is generous at the
 // 1/8 fill grade of an 8*n bitmap.
 const chtMaxDisplacement = 64
+
+// chtPrefetchMinBytes is the table size above which the bulkload and
+// LookupBatch issue software prefetches. Below it (an L2-sized table)
+// the hints cost more issue slots than the misses they would hide.
+const chtPrefetchMinBytes = 2 << 20
+
+// pfDist is the prefetch distance of the table's kernels: the package
+// distance for tables above chtPrefetchMinBytes, 0 for smaller ones.
+// It counts the dense array's capacity, so it holds during the build.
+//
+//mmjoin:hotpath
+//mmjoin:inline
+func (t *CHT) pfDist() int {
+	if len(t.groups)*8+cap(t.array)*tuple.Bytes <= chtPrefetchMinBytes {
+		return 0
+	}
+	return prefetchDist()
+}
 
 // BuildCHT bulk-loads a CHT from the relation on one thread. The
 // parallel partitioned build used by the CHTJ join lives in CHTBuilder.
@@ -140,16 +160,45 @@ func (t *CHT) OverflowLen() int {
 	return n
 }
 
-// CHTBuilder constructs a CHT in parallel over disjoint bitmap regions:
-// the CHTJ join radix-partitions the build side by bucket prefix so that
-// each worker bulk-loads one contiguous region without synchronization
-// (Section 3.2). Region boundaries are aligned to 32-bucket groups.
+// CHTBuilder bulk-loads a CHT in the two passes of Barber et al., in
+// parallel over disjoint bitmap regions: the CHTJ join partitions the
+// build side by bucket prefix so that each worker loads one contiguous
+// region without synchronization (Section 3.2). Region boundaries are
+// aligned to 32-bucket groups.
+//
+//  1. LoadRegion (claim) walks the region's tuples in input order. Each
+//     takes the first free bucket at or after its home, or spills to the
+//     overflow table past chtMaxDisplacement or the region end.
+//  2. ScatterRegion computes the region's population-count prefixes and
+//     writes each placed tuple to array[rank(bucket)].
+//
+// Ranks follow bucket order, so the dense array is in bucket order;
+// within a collision run the tuples keep their input order. The table's
+// storage is allocated by the first of these calls, so a join that runs
+// them in its phases times the allocation there.
 type CHTBuilder struct {
-	table     *CHT
-	regions   int
-	perRegion [][]tuple.Tuple // placed tuples per region, in bucket order
-	spilled   [][]tuple.Tuple // overflow tuples per region
+	table   *CHT
+	regions int
+	shift   uint // bucket >> shift is the bucket's region
+	n       int
+	alloc   sync.Once
+	loads   []chtLoad
 }
+
+// chtLoad is one region's claim: its tuples (the caller's slices, not
+// copies), each tuple's displacement from its home bucket or
+// chtSpilled, the spilled tuples and the placed count.
+type chtLoad struct {
+	segs    [][]tuple.Tuple
+	disp    []uint8
+	spilled []tuple.Tuple
+	placed  int
+	done    bool
+}
+
+// chtSpilled marks an overflow tuple; displacements are below
+// chtMaxDisplacement.
+const chtSpilled = 0xff
 
 // NewCHTBuilder prepares a builder for n tuples loaded via `regions`
 // disjoint regions. regions must be a power of two so regions align with
@@ -168,40 +217,39 @@ func NewCHTBuilderArena(n, regions int, hash hashfn.Func, a *exec.Arena) *CHTBui
 	if hash == nil {
 		hash = hashfn.Identity
 	}
-	bucketCount := NextPow2(n) * chtBucketsPerTuple
-	if bucketCount < 32 {
-		bucketCount = 32
-	}
-	groupCount := bucketCount / 32
-	regions = NextPow2(regions)
-	if regions < 1 {
-		regions = 1
-	}
-	for regions > groupCount {
+	bucketCount := max(NextPow2(n)*chtBucketsPerTuple, 32)
+	regions = max(NextPow2(regions), 1)
+	for regions > bucketCount/32 {
 		regions >>= 1
 	}
-	t := &CHT{
-		overflow: make(map[tuple.Key][]tuple.Payload),
-		mask:     uint64(bucketCount - 1),
-		hash:     hash,
-		hashB:    hashfn.BatchFor(hash),
-		a:        a,
+	return &CHTBuilder{
+		table: &CHT{
+			overflow: make(map[tuple.Key][]tuple.Payload),
+			mask:     uint64(bucketCount - 1),
+			hash:     hash,
+			hashB:    hashfn.BatchFor(hash),
+			a:        a,
+		},
+		regions: regions,
+		shift:   uint(bits.TrailingZeros(uint(bucketCount / regions))),
+		n:       n,
+		loads:   make([]chtLoad, regions),
 	}
-	if a != nil {
-		t.groupsRaw = a.Uint64s(groupCount) // zeroed per contract
+}
+
+// allocate draws the bitmap groups (zeroed) and the dense array. The
+// array may come with arbitrary contents: the scatter writes every slot
+// below the placed count, and nothing reads past it.
+func (b *CHTBuilder) allocate() {
+	t := b.table
+	groupCount := int(t.mask+1) / 32
+	if t.a != nil {
+		t.groupsRaw = t.a.Uint64s(groupCount)
 		t.groups = groupsFrom(t.groupsRaw, groupCount)
-		// Tuples are handed out with arbitrary contents, which is fine:
-		// the dense array is append-only up to n, never read past len.
-		t.array = a.Tuples(n)[:0]
+		t.array = t.a.Tuples(b.n)[:0]
 	} else {
 		t.groups = make([]chtGroup, groupCount)
-		t.array = make([]tuple.Tuple, 0, n)
-	}
-	return &CHTBuilder{
-		table:     t,
-		regions:   regions,
-		perRegion: make([][]tuple.Tuple, regions),
-		spilled:   make([][]tuple.Tuple, regions),
+		t.array = make([]tuple.Tuple, 0, b.n)
 	}
 }
 
@@ -216,100 +264,135 @@ func (b *CHTBuilder) Free() { b.table.Free() }
 
 // RegionOf returns the region index a key's bucket falls into; the CHTJ
 // join uses it to partition the build side before calling LoadRegion.
-func (b *CHTBuilder) RegionOf(k tuple.Key) int {
-	bucketCount := b.table.mask + 1
-	return int(b.table.bucketOf(k) * uint64(b.regions) / bucketCount)
+func (b *CHTBuilder) RegionOf(k tuple.Key) int { return int(b.table.bucketOf(k) >> b.shift) }
+
+// eachBlock calls fn on the region's tuples in order, BatchSize at a
+// time, with their displacements. The passes over a block first touch
+// every tuple's bitmap group (prefetched on large tables), so the
+// block's cache misses overlap, and only then act on them.
+func (l *chtLoad) eachBlock(fn func(blk []tuple.Tuple, disp []uint8)) {
+	disp := l.disp
+	for _, s := range l.segs {
+		for len(s) > 0 {
+			blk := s[:min(len(s), BatchSize)]
+			fn(blk, disp[:len(blk)])
+			s, disp = s[len(blk):], disp[len(blk):]
+		}
+	}
 }
 
-// LoadRegion places all tuples of one region into the region's bitmap
-// range. Every tuple must satisfy RegionOf(t.Key) == region. Safe to call
-// concurrently for distinct regions.
-func (b *CHTBuilder) LoadRegion(region int, tuples []tuple.Tuple) {
-	t := b.table
-	bucketCount := t.mask + 1
-	lo := uint64(region) * bucketCount / uint64(b.regions)
-	hi := uint64(region+1) * bucketCount / uint64(b.regions)
-
-	// Canonical linear-probing placement: process tuples in home-bucket
-	// order and assign each the first free bucket at or after its home.
-	// Bucket order is established with an LSD radix sort — comparison
-	// sorting here would dominate the whole bulkload.
-	ordered := radixSortByBucket(tuples, t.bucketOf, bucketCount)
-
-	placed := make([]tuple.Tuple, 0, len(ordered))
-	next := lo
-	for _, tp := range ordered {
-		home := t.bucketOf(tp.Key)
-		pos := home
-		if next > pos {
-			pos = next
-		}
-		if pos >= hi || pos-home >= chtMaxDisplacement {
-			b.spilled[region] = append(b.spilled[region], tp)
-			continue
-		}
-		g := &t.groups[pos>>5]
-		g.bits |= 1 << uint(pos&31)
-		placed = append(placed, tp)
-		next = pos + 1
+// LoadRegion is the claim pass over one region: segs, walked in order,
+// are the region's tuples, and each tuple claims the first free bucket
+// at or after its home. Every tuple must satisfy RegionOf(t.Key) ==
+// region, and segs must stay unchanged until Finalize. It returns the
+// number of tuples. Safe to call concurrently for distinct regions.
+func (b *CHTBuilder) LoadRegion(region int, segs ...[]tuple.Tuple) int {
+	b.alloc.Do(b.allocate)
+	t, l := b.table, &b.loads[region]
+	hi := uint64(region+1) << b.shift
+	n := 0
+	for _, s := range segs {
+		n += len(s)
 	}
-	b.perRegion[region] = placed
+	l.segs, l.disp = segs, make([]uint8, n)
+	pfOn := t.pfDist() > 0
+	var homes [BatchSize]uint64
+	l.eachBlock(func(blk []tuple.Tuple, disp []uint8) {
+		for j, tp := range blk {
+			homes[j] = t.bucketOf(tp.Key)
+			if pfOn {
+				pf(unsafe.Pointer(&t.groups[homes[j]>>5]))
+			}
+		}
+		for j, tp := range blk {
+			pos, end := homes[j], min(homes[j]+chtMaxDisplacement, hi)
+			for pos < end {
+				// The free buckets at or after pos within its group.
+				if free := ^t.groups[pos>>5].bits >> (pos & 31); free != 0 {
+					pos += uint64(bits.TrailingZeros32(free))
+					break
+				}
+				pos = pos&^31 + 32
+			}
+			if pos < end {
+				t.groups[pos>>5].bits |= 1 << (pos & 31)
+				disp[j] = uint8(pos - homes[j])
+				l.placed++
+			} else {
+				disp[j] = chtSpilled
+				l.spilled = append(l.spilled, tp)
+			}
+		}
+	})
+	return n
 }
 
-// radixSortByBucket returns the tuples ordered by their home bucket,
-// using an 11-bit-per-pass LSD radix sort over the bucket values.
-func radixSortByBucket(tuples []tuple.Tuple, bucketOf func(tuple.Key) uint64, bucketCount uint64) []tuple.Tuple {
-	const passBits = 11
-	const radix = 1 << passBits
-	n := len(tuples)
-	src := make([]tuple.Tuple, n)
-	copy(src, tuples)
-	if n < 2 {
-		return src
+// ScatterRegion computes the region's population-count prefixes and
+// writes each of its placed tuples to the dense array slot its bucket
+// ranks; on large tables each rank's array line is prefetched before
+// the block's writes. Every region must have been loaded first: the
+// region's array range starts after the tuples placed in the regions
+// before it. Safe to call concurrently for distinct regions.
+func (b *CHTBuilder) ScatterRegion(region int) {
+	b.alloc.Do(b.allocate)
+	t, l := b.table, &b.loads[region]
+	running := uint32(0)
+	for r := 0; r < region; r++ {
+		running += uint32(b.loads[r].placed)
 	}
-	dst := make([]tuple.Tuple, n)
-	for shift := uint(0); uint64(1)<<shift < bucketCount; shift += passBits {
-		var counts [radix]int
-		for _, tp := range src {
-			counts[(bucketOf(tp.Key)>>shift)&(radix-1)]++
-		}
-		pos := 0
-		var starts [radix]int
-		for d := 0; d < radix; d++ {
-			starts[d] = pos
-			pos += counts[d]
-		}
-		for _, tp := range src {
-			d := (bucketOf(tp.Key) >> shift) & (radix - 1)
-			dst[starts[d]] = tp
-			starts[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// Finalize computes the population-count prefixes, concatenates the
-// region arrays into the dense tuple array, merges overflow, and returns
-// the finished table. Must be called once after all LoadRegion calls.
-func (b *CHTBuilder) Finalize() *CHT {
-	t := b.table
-	var running uint32
-	for i := range t.groups {
+	per := len(t.groups) / b.regions
+	for i := region * per; i < (region+1)*per; i++ {
 		t.groups[i].prefix = running
 		running += uint32(bits.OnesCount32(t.groups[i].bits))
 	}
-	for _, region := range b.perRegion {
-		t.array = append(t.array, region...)
-	}
-	for _, sp := range b.spilled {
-		for _, tp := range sp {
+	array := t.array[:cap(t.array)]
+	pfOn := t.pfDist() > 0
+	var slot [BatchSize]int
+	l.eachBlock(func(blk []tuple.Tuple, disp []uint8) {
+		for j, tp := range blk {
+			slot[j] = -1
+			if disp[j] != chtSpilled {
+				slot[j] = int(t.bucketOf(tp.Key) + uint64(disp[j]))
+				if pfOn {
+					pf(unsafe.Pointer(&t.groups[slot[j]>>5]))
+				}
+			}
+		}
+		for j, pos := range slot[:len(blk)] {
+			if pos >= 0 {
+				g := t.groups[pos>>5]
+				slot[j] = int(g.prefix) + bits.OnesCount32(g.bits&(1<<(pos&31)-1))
+				if pfOn {
+					pf(unsafe.Pointer(&array[slot[j]]))
+				}
+			}
+		}
+		for j, tp := range blk {
+			if slot[j] >= 0 {
+				array[slot[j]] = tp
+			}
+		}
+	})
+	l.segs, l.disp, l.done = nil, nil, true
+}
+
+// Finalize scatters any region not yet scattered, merges overflow, and
+// returns the finished table. Must be called once, after all LoadRegion
+// calls.
+func (b *CHTBuilder) Finalize() *CHT {
+	t := b.table
+	placed := 0
+	for r := range b.loads {
+		l := &b.loads[r]
+		if !l.done {
+			b.ScatterRegion(r)
+		}
+		placed += l.placed
+		t.n += l.placed + len(l.spilled)
+		for _, tp := range l.spilled {
 			t.overflow[tp.Key] = append(t.overflow[tp.Key], tp.Payload)
 		}
 	}
-	t.n = len(t.array)
-	for _, ps := range t.overflow {
-		t.n += len(ps)
-	}
+	t.array = t.array[:placed]
 	return t
 }

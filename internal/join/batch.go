@@ -169,6 +169,7 @@ func (bs *batchState) probeRun(w *exec.Worker, ht batchProbeTable, run []tuple.T
 // workers at once.
 type batchConcurrentBuildTable interface {
 	BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Payload, s *hashtable.BatchScratch)
+	InsertConcurrent(tp tuple.Tuple)
 }
 
 // buildRunConcurrent streams one contiguous run into a concurrently

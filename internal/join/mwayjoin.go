@@ -132,11 +132,11 @@ func (j *mwayJoin) RunContext(ctx context.Context, build, probe tuple.Relation, 
 	if o.Traffic != nil {
 		accountGlobalPartitionTraffic(&o, len(build), 1)
 		accountGlobalPartitionTraffic(&o, len(probe), 1)
-		// Sorting reads and writes each co-partition a few times;
-		// the model charges two streaming passes over the partition's
-		// home range, plus the merge join's final pass.
-		accountSortAndMergeTraffic(&o, pr)
-		accountSortAndMergeTraffic(&o, ps)
+		// Each co-partition's sort passes, as mway.SortPassBytes
+		// counts them, plus the merge join's final pass, over the
+		// partition's home range.
+		accountSortAndMergeTraffic(&o, pr, sortedR)
+		accountSortAndMergeTraffic(&o, ps, sortedS)
 	}
 	res.Exec = pool.Stats()
 	release()

@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -198,6 +199,14 @@ func BuildTable(ctx context.Context, build tuple.Relation, design TableDesign, o
 // single-writer structures, so one worker inserts while the pool keeps
 // cancellation responsive at morsel boundaries.
 //
+// Every design's table is constructed inside its first phase, in the
+// first morsel or task a worker starts (the others wait in a
+// sync.Once): zeroing a fresh table and faulting in its pages are build
+// work, and outside a phase, or outside a worker's span, they would
+// escape the phase walls and the per-worker trace. A worker with no
+// morsel constructs after its empty walk, so an empty build still
+// yields a table.
+//
 // On success the caller owns the table and must call free exactly
 // once; on error the storage has already been freed.
 func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *Options) (globalTable, func(), error) {
@@ -205,136 +214,204 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 	bstates := make([]batchState, o.Threads)
 	op := tableOpBytes(design)
 
+	// table and free are set by the design's constructor, which runs
+	// inside a phase; free stays nil if cancellation came first.
+	var table globalTable
+	var free func()
+
 	// concurrentBuild drives the shared-global-table protocol (all
 	// workers insert their chunks at once).
-	concurrentBuild := func(ht batchConcurrentBuildTable, scalarInsert func(tuple.Tuple)) error {
+	concurrentBuild := func(newTable func() batchConcurrentBuildTable) error {
+		var once sync.Once
+		var ht batchConcurrentBuildTable
+		construct := func() { ht = newTable() }
 		return pool.Run("build", func(w *exec.Worker) {
 			c := buildChunks[w.ID]
 			bs := &bstates[w.ID]
 			w.Morsels(c.Len(), func(begin, end int) {
+				once.Do(construct)
 				run := build[c.Begin+begin : c.Begin+end]
 				if o.ScalarKernels {
 					for _, tp := range run {
-						scalarInsert(tp)
+						ht.InsertConcurrent(tp)
 					}
 					w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
 				} else {
 					bs.buildRunConcurrent(w, ht, run, op)
 				}
 			})
+			if c.Len() == 0 {
+				once.Do(construct)
+			}
 		})
 	}
 	// singleWriterBuild keeps single-writer structures on one worker
 	// while morsel boundaries keep the build cancellable.
-	singleWriterBuild := func(insert func(tuple.Tuple)) error {
+	singleWriterBuild := func(newInsert func() func(tuple.Tuple)) error {
 		return pool.Run("build", func(w *exec.Worker) {
 			if w.ID != 0 {
 				return
 			}
+			var insert func(tuple.Tuple)
 			w.Morsels(len(build), func(begin, end int) {
+				if insert == nil {
+					insert = newInsert()
+				}
 				for _, tp := range build[begin:end] {
 					insert(tp)
 				}
 				w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
 			})
+			if len(build) == 0 {
+				newInsert()
+			}
 		})
 	}
 
-	var table globalTable
-	var free func()
 	var err error
 	switch design {
 	case DesignChained:
-		t := hashtable.NewChainedTableArena(len(build), o.Hash, o.Arena)
-		t.PrepareConcurrent()
-		err = concurrentBuild(t, t.InsertConcurrent)
-		t.FinishConcurrentBuild()
-		table, free = t, t.Free
-	case DesignLinear:
-		t := hashtable.NewLinearTableArena(len(build), o.Hash, o.Arena)
-		err = concurrentBuild(t, t.InsertConcurrent)
-		table, free = t, t.Free
-	case DesignArray:
-		domain := o.Domain
-		if domain == 0 {
-			domain = maxKeyDomain(build)
+		var t *hashtable.ChainedTable
+		err = concurrentBuild(func() batchConcurrentBuildTable {
+			t = hashtable.NewChainedTableArena(len(build), o.Hash, o.Arena)
+			t.PrepareConcurrent()
+			table, free = t, t.Free
+			return t
+		})
+		if t != nil {
+			t.FinishConcurrentBuild()
 		}
-		t := hashtable.NewArrayTableArena(0, domain, o.Arena)
-		err = concurrentBuild(t, t.InsertConcurrent)
-		t.FinishConcurrentBuild()
-		table, free = t, t.Free
+	case DesignLinear:
+		err = concurrentBuild(func() batchConcurrentBuildTable {
+			t := hashtable.NewLinearTableArena(len(build), o.Hash, o.Arena)
+			table, free = t, t.Free
+			return t
+		})
+	case DesignArray:
+		var t *hashtable.ArrayTable
+		err = concurrentBuild(func() batchConcurrentBuildTable {
+			domain := o.Domain
+			if domain == 0 {
+				domain = maxKeyDomain(build)
+			}
+			t = hashtable.NewArrayTableArena(0, domain, o.Arena)
+			table, free = t, t.Free
+			return t
+		})
+		if t != nil {
+			t.FinishConcurrentBuild()
+		}
 	case DesignRobinHood:
-		t := hashtable.NewRobinHoodTableArena(len(build), 0, o.Hash, o.Arena)
-		err = singleWriterBuild(t.Insert)
-		table, free = t, t.Free
+		err = singleWriterBuild(func() func(tuple.Tuple) {
+			t := hashtable.NewRobinHoodTableArena(len(build), 0, o.Hash, o.Arena)
+			table, free = t, t.Free
+			return t.Insert
+		})
 	case DesignSparse:
-		t := hashtable.NewSparseTable(len(build), o.Hash)
-		err = singleWriterBuild(t.Insert)
-		table, free = t, func() {} // heap-only: the collector reclaims it
+		err = singleWriterBuild(func() func(tuple.Tuple) {
+			t := hashtable.NewSparseTable(len(build), o.Hash)
+			table, free = t, func() {} // heap-only: the collector reclaims it
+			return t.Insert
+		})
 	case DesignCHT:
-		table, free, err = buildCHT(pool, build, buildChunks, o)
+		table, free, err = bulkloadCHT(pool, build, buildChunks, o)
 	default:
 		return nil, nil, fmt.Errorf("join: unknown table design %d", int(design))
 	}
 	if err != nil {
-		free()
+		if free != nil {
+			free()
+		}
 		return nil, nil, err
 	}
 	return table, free, nil
 }
 
-// buildCHT is buildGlobal's CHT leg: the build side is partitioned by
-// target bitmap region, then each region is bulk-loaded by one worker
-// without synchronization. On error the returned free releases the
-// partly loaded table.
-func buildCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (globalTable, func(), error) {
+// bulkloadCHT is buildGlobal's CHT leg. With several regions a
+// "classify" phase first groups every morsel of the build side by
+// target bitmap region, in place in one buffer (count, then scatter);
+// with one the input is loaded as it is. Then two "bulkload" phases run
+// the builder's passes per region: claim every region's buckets (the
+// first claim allocates the table), then scatter every region into the
+// dense array. The returned free releases the table, also on error.
+func bulkloadCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (globalTable, func(), error) {
 	// Spread the hash over the 8n bitmap buckets: multiplying by the
 	// buckets-per-tuple factor maps a hash that is uniform over n table
 	// slots to one uniform over the bitmap, and keeps the identity hash
 	// collision-free for dense keys.
 	userHash := o.Hash
-	spread := func(k tuple.Key) uint64 { return userHash(k) * 8 }
-	builder := hashtable.NewCHTBuilderArena(len(build), o.Threads, spread, o.Arena)
-	regions := builder.Regions()
+	b := hashtable.NewCHTBuilderArena(len(build), o.Threads,
+		func(k tuple.Key) uint64 { return userHash(k) * 8 }, o.Arena)
+	regions := b.Regions()
 	// The bulkload pulls region tasks in FIFO order (Exec.Queue).
 	pool.SetQueueStrategy("fifo")
 
-	// Step 1: each worker classifies its chunk into per-(worker,
-	// region) lists.
-	perWorker := make([][][]tuple.Tuple, o.Threads)
-	err := pool.Run("classify", func(w *exec.Worker) {
-		lists := make([][]tuple.Tuple, regions)
-		c := buildChunks[w.ID]
-		w.Morsels(c.Len(), func(begin, end int) {
-			for _, tp := range build[c.Begin+begin : c.Begin+end] {
-				r := builder.RegionOf(tp.Key)
-				lists[r] = append(lists[r], tp)
-			}
-			w.AddBytes(2 * int64(end-begin) * tuple.Bytes) // read chunk + append to lists
+	// parts[w][r] lists the slices of region r's tuples in worker w's
+	// classified morsels.
+	parts := [][][][]tuple.Tuple{{{build}}}
+	if regions > 1 {
+		// A heap buffer, not an arena one: parked in an off-heap arena
+		// between builds it would stay resident.
+		buf := make([]tuple.Tuple, len(build))
+		parts = make([][][][]tuple.Tuple, len(buildChunks))
+		err := pool.Run("classify", func(w *exec.Worker) {
+			c := buildChunks[w.ID]
+			parts[w.ID] = make([][][]tuple.Tuple, regions)
+			next := make([]int, regions+1) // per-region write cursors
+			w.Morsels(c.Len(), func(begin, end int) {
+				lo, run := c.Begin+begin, build[c.Begin+begin:c.Begin+end]
+				clear(next)
+				for _, tp := range run {
+					next[b.RegionOf(tp.Key)+1]++
+				}
+				next[0] = lo
+				for r := 1; r < regions; r++ {
+					next[r] += next[r-1]
+				}
+				for _, tp := range run {
+					r := b.RegionOf(tp.Key)
+					buf[next[r]] = tp
+					next[r]++
+				}
+				for r, hi := range next[:regions] {
+					parts[w.ID][r] = append(parts[w.ID][r], buf[lo:hi])
+					lo = hi
+				}
+				// count read, then scatter read + write of the morsel
+				w.AddBytes(3 * int64(end-begin) * tuple.Bytes)
+			})
+			w.AddAllocs(1) // region cursors and slice lists
 		})
-		perWorker[w.ID] = lists
-		w.AddAllocs(1) // per-region list set
-	})
-	if err != nil {
-		return nil, builder.Free, err
-	}
-	// Step 2: each region is bulk-loaded by one worker, pulling region
-	// tasks from a queue.
-	err = pool.RunQueue("bulkload", exec.NewRange(regions), func(w *exec.Worker, r int) {
-		var merged []tuple.Tuple
-		for _, lists := range perWorker {
-			merged = append(merged, lists[r]...)
+		if err != nil {
+			return nil, b.Free, err
 		}
-		builder.LoadRegion(r, merged)
-		// merge copy + bulk-load write of the region's tuples
-		w.AddBytes(int64(len(merged)) * (2*tuple.Bytes + hashtable.CHTOpBytes))
-		w.AddAllocs(1) // merged scratch
-	})
-	if err != nil {
-		return nil, builder.Free, err
 	}
-	cht := builder.Finalize()
-	return cht, cht.Free, nil
+	lens := make([]int64, regions)
+	err := pool.RunQueue("bulkload", exec.NewRange(regions), func(w *exec.Worker, r int) {
+		var segs [][]tuple.Tuple
+		for _, p := range parts {
+			segs = append(segs, p[r]...)
+		}
+		lens[r] = int64(b.LoadRegion(r, segs...))
+		// tuple read + claimed bitmap line
+		w.AddBytes(lens[r] * (tuple.Bytes + tuple.CacheLineBytes))
+		w.AddAllocs(1) // displacement array
+	})
+	if err == nil {
+		err = pool.RunQueue("bulkload", exec.NewRange(regions), func(w *exec.Worker, r int) {
+			b.ScatterRegion(r)
+			// tuple read + bitmap line + dense-array line
+			w.AddBytes(lens[r] * (tuple.Bytes + hashtable.CHTOpBytes))
+		})
+	}
+	if err != nil {
+		return nil, b.Free, err
+	}
+	// The table's own Free, not the builder's: a bound b.Free would keep
+	// the builder, and with it the classified input, alive as long as
+	// the table.
+	t := b.Finalize()
+	return t, t.Free, nil
 }
 
 // ProbeTable runs the probe phase of a no-partitioning join against a

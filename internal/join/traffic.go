@@ -1,6 +1,7 @@
 package join
 
 import (
+	"mmjoin/internal/mway"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/radix"
 	"mmjoin/internal/tuple"
@@ -126,10 +127,12 @@ func accountChunkedJoinTraffic(o *Options, order []int, pr, ps *radix.ChunkedPar
 }
 
 // accountSortAndMergeTraffic charges MWAY's sort phase: each thread
-// streams its partition through two read + write passes (a flat
-// stand-in for the sort's scatter passes) plus the final merge-join
-// read, all against the partition's home range.
-func accountSortAndMergeTraffic(o *Options, p *radix.Partitioned) {
+// streams its partition through the passes mway.Sort made on it, the
+// count mway.SortPassBytes charges (a histogram read, then a read and a
+// write per key digit the sorted partition's keys do not all share),
+// plus the final merge-join read, all against the partition's home
+// range. sorted[w] is partition w after the sort.
+func accountSortAndMergeTraffic(o *Options, p *radix.Partitioned, sorted []tuple.Relation) {
 	topo := o.Topology
 	region := numaRegionFor(o, len(p.Data))
 	for w := 0; w < p.Parts(); w++ {
@@ -140,7 +143,10 @@ func accountSortAndMergeTraffic(o *Options, p *radix.Partitioned) {
 		}
 		lo := int64(p.Start(w)) * tuple.Bytes
 		hi := lo + int64(n)*tuple.Bytes
-		for pass := 0; pass < 2; pass++ {
+		if n > 1 {
+			o.Traffic.AddReadRegion(node, region, lo, hi) // histogram
+		}
+		for pass := mway.SortPasses(sorted[w]); pass > 0; pass-- {
 			o.Traffic.AddReadRegion(node, region, lo, hi)
 			o.Traffic.AddWriteRegion(node, region, lo, hi)
 		}

@@ -73,15 +73,19 @@ func SortPassBytes(sorted tuple.Relation) int64 {
 	if n <= 1 {
 		return 0
 	}
-	return n*tuple.Bytes + int64(sortPasses(sorted))*2*n*tuple.Bytes
+	return n*tuple.Bytes + int64(SortPasses(sorted))*2*n*tuple.Bytes
 }
 
-// sortPasses counts the scatter passes Sort made: the digits in which the
-// keys of sorted are not all equal. Because sorted is in key order, the
-// first and last key agree on every digit above the highest one that
-// differs; the digits below it are checked by a scan that stops once each
-// has shown a second value, which dense and uniform keys do at once.
-func sortPasses(sorted tuple.Relation) int {
+// SortPasses counts the scatter passes the Sort that produced sorted
+// made: the digits in which the keys are not all equal (0 for fewer than
+// two tuples). Because sorted is in key order, the first and last key
+// agree on every digit above the highest one that differs; the digits
+// below it are checked by a scan that stops once each has shown a second
+// value, which dense and uniform keys do at once.
+func SortPasses(sorted tuple.Relation) int {
+	if len(sorted) <= 1 {
+		return 0
+	}
 	k0 := sorted[0].Key
 	top := k0 ^ sorted[len(sorted)-1].Key
 	if top == 0 {
