@@ -11,11 +11,11 @@ import (
 	"testing"
 
 	"mmjoin"
+	"mmjoin/internal/exec"
 	"mmjoin/internal/memsim"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tpch"
 	"mmjoin/internal/tuple"
 )
@@ -123,8 +123,8 @@ func BenchmarkFig6Bandwidth(b *testing.B) {
 	tasks := numasim.FromGlobalPartitions(topo, pr, ps)
 	m := numasim.PaperMachine()
 	orders := map[string][]int{
-		"PRO-sequential":   sched.SequentialOrder(len(tasks)),
-		"PROiS-roundrobin": sched.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, pr)),
+		"PRO-sequential":   exec.SequentialOrder(len(tasks)),
+		"PROiS-roundrobin": exec.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, pr)),
 	}
 	for name, order := range orders {
 		b.Run(name, func(b *testing.B) {
@@ -277,7 +277,7 @@ func BenchmarkFig16Threads(b *testing.B) {
 	pr := radix.PartitionGlobal(benchW.Build, 8, 8, true)
 	ps := radix.PartitionGlobal(benchW.Probe, 8, 8, true)
 	tasks := numasim.FromGlobalPartitions(topo, pr, ps)
-	order := sched.SequentialOrder(len(tasks))
+	order := exec.SequentialOrder(len(tasks))
 	m := numasim.PaperMachine()
 	for _, threads := range []int{4, 16, 60, 120} {
 		b.Run(fmt.Sprintf("%dthreads", threads), func(b *testing.B) {
@@ -345,7 +345,7 @@ func BenchmarkTab3Speedup(b *testing.B) {
 	prC := radix.PartitionChunked(benchW.Build, 8, 8, true)
 	psC := radix.PartitionChunked(benchW.Probe, 8, 8, true)
 	tasks := numasim.FromChunkedPartitions(topo, prC, psC)
-	order := sched.SequentialOrder(len(tasks))
+	order := exec.SequentialOrder(len(tasks))
 	m := numasim.PaperMachine()
 	for _, threads := range []int{4, 60} {
 		b.Run(fmt.Sprintf("CPRL-%dthreads", threads), func(b *testing.B) {

@@ -20,11 +20,11 @@ import (
 	"strings"
 
 	"mmjoin/internal/datagen"
+	"mmjoin/internal/exec"
 	"mmjoin/internal/memsim"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 )
 
 func main() {
@@ -77,15 +77,15 @@ func main() {
 			pr := radix.PartitionChunked(w.Build, b, 8, true)
 			ps := radix.PartitionChunked(w.Probe, b, 8, true)
 			tasks = numasim.FromChunkedPartitions(topo, pr, ps)
-			order = sched.SequentialOrder(len(tasks))
+			order = exec.SequentialOrder(len(tasks))
 		default:
 			pr := radix.PartitionGlobal(w.Build, b, 8, true)
 			ps := radix.PartitionGlobal(w.Probe, b, 8, true)
 			tasks = numasim.FromGlobalPartitions(topo, pr, ps)
 			if strings.HasSuffix(*algo, "iS") {
-				order = sched.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, pr))
+				order = exec.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, pr))
 			} else {
-				order = sched.SequentialOrder(len(tasks))
+				order = exec.SequentialOrder(len(tasks))
 			}
 		}
 		res, err := numasim.Simulate(m, tasks, order, *workers)

@@ -12,10 +12,10 @@ import (
 	"strings"
 
 	"mmjoin/internal/datagen"
+	"mmjoin/internal/exec"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 )
 
 func main() {
@@ -39,8 +39,8 @@ func main() {
 
 	global := numasim.FromGlobalPartitions(topo, prG, psG)
 	chunked := numasim.FromChunkedPartitions(topo, prC, psC)
-	seq := sched.SequentialOrder(len(global))
-	rr := sched.RoundRobinOrder(len(global), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
+	seq := exec.SequentialOrder(len(global))
+	rr := exec.RoundRobinOrder(len(global), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
 
 	fmt.Println("Join-phase bandwidth profiles on the simulated 4-socket machine")
 	fmt.Println("(one row per NUMA node; darker = more of the controller's bandwidth)")

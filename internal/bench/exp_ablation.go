@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"mmjoin/internal/colstore"
+	"mmjoin/internal/exec"
 	"mmjoin/internal/hashfn"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/join"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tpch"
 	"mmjoin/internal/tuple"
 )
@@ -170,13 +170,13 @@ func runAblSkew(c Config) (*Report, error) {
 			prC := radix.PartitionChunked(w.Build, bits, c.Threads, true)
 			psC := radix.PartitionChunked(w.Probe, bits, c.Threads, true)
 			tasks := numasim.FromChunkedPartitions(topo, prC, psC)
-			order := sched.SequentialOrder(len(tasks))
+			order := exec.SequentialOrder(len(tasks))
 			baseline, err := numasim.Simulate(m, tasks, order, 60)
 			if err != nil {
 				return nil, err
 			}
 			splitTasks := splitOversized(tasks, 60)
-			simSplit, err := numasim.Simulate(m, splitTasks, sched.SequentialOrder(len(splitTasks)), 60)
+			simSplit, err := numasim.Simulate(m, splitTasks, exec.SequentialOrder(len(splitTasks)), 60)
 			if err != nil {
 				return nil, err
 			}

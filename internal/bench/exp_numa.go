@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/join"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 )
 
 // NUMA experiments: these replay the paper's four-socket behaviour on
@@ -47,8 +47,8 @@ func joinPhaseSetup(c Config, bits uint) (tasks []numasim.Task, chunkedTasks []n
 	psC := radix.PartitionChunked(w.Probe, bits, c.Threads, true)
 	tasks = numasim.FromGlobalPartitions(topo, prG, psG)
 	chunkedTasks = numasim.FromChunkedPartitions(topo, prC, psC)
-	seq = sched.SequentialOrder(len(tasks))
-	rr = sched.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
+	seq = exec.SequentialOrder(len(tasks))
+	rr = exec.RoundRobinOrder(len(tasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
 	return tasks, chunkedTasks, seq, rr, nil
 }
 
@@ -118,7 +118,7 @@ func runFig6(c Config) (*Report, error) {
 
 // familyTasks builds the per-phase simulator task lists of one
 // algorithm family at a given thread count.
-func familyTasks(c Config, algo string, threads int) (partition, joinTasks []numasim.Task, order []int, err error) {
+func familyTasks(c Config, algo string, threads int) (partition, joinWork []numasim.Task, order []int, err error) {
 	w, err := generate(c, c.paperM(128), c.paperM(1280), 0, 0)
 	if err != nil {
 		return nil, nil, nil, err
@@ -139,37 +139,37 @@ func familyTasks(c Config, algo string, threads int) (partition, joinTasks []num
 		// join phase is the probe pass. Both are chunk-parallel over
 		// the inputs, with table traffic spread over all nodes.
 		partition = nopPhaseTasks(topo, len(w.Build), threads, algo)
-		joinTasks = nopPhaseTasks(topo, len(w.Probe), threads, algo)
-		order = sched.SequentialOrder(len(joinTasks))
-		return partition, joinTasks, order, nil
+		joinWork = nopPhaseTasks(topo, len(w.Probe), threads, algo)
+		order = exec.SequentialOrder(len(joinWork))
+		return partition, joinWork, order, nil
 	case algo == "MWAY":
 		partition = numasim.PartitionPhaseTasks(topo, len(w.Build)+len(w.Probe), threads, false)
 		// Sorting: two more streaming passes per worker.
 		more := numasim.PartitionPhaseTasks(topo, len(w.Build)+len(w.Probe), threads, true)
 		partition = append(partition, more...)
-		joinTasks = numasim.PartitionPhaseTasks(topo, len(w.Build)+len(w.Probe), threads, true)[:threads]
-		order = sched.SequentialOrder(len(joinTasks))
-		return partition, joinTasks, order, nil
+		joinWork = numasim.PartitionPhaseTasks(topo, len(w.Build)+len(w.Probe), threads, true)[:threads]
+		order = exec.SequentialOrder(len(joinWork))
+		return partition, joinWork, order, nil
 	case chunked:
 		partition = append(numasim.PartitionPhaseTasks(topo, len(w.Build), threads, true),
 			numasim.PartitionPhaseTasks(topo, len(w.Probe), threads, true)...)
 		prC := radix.PartitionChunked(w.Build, bits, threads, true)
 		psC := radix.PartitionChunked(w.Probe, bits, threads, true)
-		joinTasks = numasim.FromChunkedPartitions(topo, prC, psC)
-		order = sched.SequentialOrder(len(joinTasks))
-		return partition, joinTasks, order, nil
+		joinWork = numasim.FromChunkedPartitions(topo, prC, psC)
+		order = exec.SequentialOrder(len(joinWork))
+		return partition, joinWork, order, nil
 	default:
 		partition = append(numasim.PartitionPhaseTasks(topo, len(w.Build), threads, false),
 			numasim.PartitionPhaseTasks(topo, len(w.Probe), threads, false)...)
 		prG := radix.PartitionGlobal(w.Build, bits, threads, true)
 		psG := radix.PartitionGlobal(w.Probe, bits, threads, true)
-		joinTasks = numasim.FromGlobalPartitions(topo, prG, psG)
+		joinWork = numasim.FromGlobalPartitions(topo, prG, psG)
 		if improved {
-			order = sched.RoundRobinOrder(len(joinTasks), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
+			order = exec.RoundRobinOrder(len(joinWork), topo.Nodes, numasim.HomeNodeOfPartition(topo, prG))
 		} else {
-			order = sched.SequentialOrder(len(joinTasks))
+			order = exec.SequentialOrder(len(joinWork))
 		}
-		return partition, joinTasks, order, nil
+		return partition, joinWork, order, nil
 	}
 }
 
@@ -195,7 +195,7 @@ func nopPhaseTasks(topo numa.Topology, tuples, threads int, algo string) []numas
 
 // simulateFamily returns phase makespans at a thread count.
 func simulateFamily(c Config, algo string, threads int) (partSec, joinSec float64, err error) {
-	partition, joinTasks, order, err := familyTasks(c, algo, threads)
+	partition, joinWork, order, err := familyTasks(c, algo, threads)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -215,7 +215,7 @@ func simulateFamily(c Config, algo string, threads int) (partSec, joinSec float6
 	if err != nil {
 		return 0, 0, err
 	}
-	jres, err := numasim.Simulate(m, joinTasks, order, threads)
+	jres, err := numasim.Simulate(m, joinWork, order, threads)
 	if err != nil {
 		return 0, 0, err
 	}

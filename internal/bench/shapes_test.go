@@ -47,15 +47,31 @@ func TestShapeArrayBeatsHashTable(t *testing.T) {
 // Lesson (1) / Figure 10: NOP wins on small inputs; the partition-based
 // joins catch up as the global table outgrows the caches. We assert the
 // *trend*: NOP's advantage over CPRA shrinks (or flips) from 64k to 4M
-// build tuples.
+// build tuples. Each of the four timings is a min-of-6, with CPRA and
+// NOP runs interleaved so a slow stretch of the host hits both.
 func TestShapeNOPAdvantageShrinksWithSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large workload")
 	}
-	small := shapeWorkload(t, 1<<16, 10<<16, 0)
-	large := shapeWorkload(t, 1<<22, 10<<22, 0)
-	ratioSmall := float64(run(t, "CPRA", small).Total) / float64(run(t, "NOP", small).Total)
-	ratioLarge := float64(run(t, "CPRA", large).Total) / float64(run(t, "NOP", large).Total)
+	ratio := func(w *datagen.Workload) float64 {
+		t.Helper()
+		var best [2]time.Duration
+		for i := 0; i < 6; i++ {
+			for k, name := range []string{"CPRA", "NOP"} {
+				res, err := runJoinRepeat(Config{}, name, w, join.Options{Threads: 8}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 || res.Total < best[k] {
+					best[k] = res.Total
+				}
+			}
+		}
+		return float64(best[0]) / float64(best[1])
+	}
+	ratioSmall := ratio(shapeWorkload(t, 1<<16, 10<<16, 0))
+	ratioLarge := ratio(shapeWorkload(t, 1<<22, 10<<22, 0))
+	t.Logf("CPRA/NOP time ratio: %.2f at 2^16, %.2f at 2^22", ratioSmall, ratioLarge)
 	// ratio = CPRA time / NOP time; it must improve (drop) with size.
 	if ratioLarge >= ratioSmall {
 		t.Fatalf("CPRA/NOP time ratio did not improve with size: %.2f -> %.2f", ratioSmall, ratioLarge)

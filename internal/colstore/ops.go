@@ -1,9 +1,11 @@
 package colstore
 
 import (
+	"context"
+
+	"mmjoin/internal/exec"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
 
@@ -80,9 +82,13 @@ func HashJoin(build *KeyColumn, buildSel SelectionVector, probe *KeyColumn, prob
 	bits := radix.PredictBits(len(b), radix.LoadFactorFor("linear"), threads, radix.PaperMachine())
 	pr := radix.PartitionChunked(b, bits, threads, true)
 	ps := radix.PartitionChunked(p, bits, threads, true)
-	queue := sched.NewLIFO(sched.SequentialOrder(1 << bits))
+	queue := exec.NewLIFO(exec.SequentialOrder(1 << bits))
 	results := make([][]JoinPair, threads)
-	sched.RunWorkers(threads, func(w int) {
+	// One pool per join. It runs under context.Background, so its
+	// phases cannot be cancelled and their errors are always nil.
+	pool := exec.NewPool(context.Background(), threads)
+	_ = pool.Run("join", func(wk *exec.Worker) {
+		w := wk.ID
 		var lt *hashtable.LinearTable
 		for {
 			part, ok := queue.Pop()

@@ -3,12 +3,12 @@
 // (exec.Pool), a buffer-recycling tier (exec.Arena), and per-phase
 // execution statistics (exec.Stats).
 //
-// The layering is strict: internal/sched contributes task *orders*
-// (LIFO, round-robin-by-node — the scheduling policies of Section 6.2),
-// exec contributes the *machinery* that runs them (goroutine fan-out,
-// cancellation, memory reuse, instrumentation), and internal/join wires
-// algorithm logic on top. No package outside exec spawns join
-// goroutines directly.
+// The layering is strict: exec contributes the task queues and orders
+// (ascending ranges, the LIFO stack and the round-robin-by-node order —
+// the scheduling policies of Section 6.2) and the *machinery* that runs
+// them (goroutine fan-out, cancellation, memory reuse,
+// instrumentation), and internal/join wires algorithm logic on top. No
+// package outside exec spawns join goroutines directly.
 //
 // Cancellation contract: every phase observes the pool's context at
 // morsel and task-pop boundaries. A cancelled pool finishes the morsel
@@ -33,7 +33,7 @@ import (
 const MorselTuples = 1 << 16
 
 // Queue hands out task ids to workers; implementations must be safe for
-// concurrent Pop. The queues of internal/sched satisfy it.
+// concurrent Pop. NewRange and NewLIFO build the two the joins use.
 type Queue interface {
 	// Pop returns the next task id, or ok=false when drained.
 	Pop() (id int, ok bool)
@@ -61,6 +61,64 @@ func (q *rangeQueue) Pop() (int, bool) {
 }
 
 func (q *rangeQueue) Len() int { return int(q.n) }
+
+// lifo pops tasks in reverse insertion order — the stack the paper
+// found in the PR* implementations ("a LIFO-task queue (which is
+// actually a stack)").
+type lifo struct {
+	order []int
+	next  int64 // counts down from len(order)
+}
+
+// NewLIFO builds a stack that pops the given insertion order in reverse.
+func NewLIFO(order []int) Queue { return &lifo{order: order, next: int64(len(order))} }
+
+func (q *lifo) Pop() (int, bool) {
+	i := atomic.AddInt64(&q.next, -1)
+	if i < 0 {
+		return 0, false
+	}
+	return q.order[i], true
+}
+
+func (q *lifo) Len() int { return len(q.order) }
+
+// SequentialOrder returns 0..n-1: ascending partition indices, the
+// insertion order of the original PR* and CPR* implementations. Because
+// consecutive partitions are consecutive in virtual memory, the first
+// |threads| tasks popped all read from the same NUMA region.
+func SequentialOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// RoundRobinOrder reorders task ids so consecutive pops come from
+// different NUMA nodes (Section 6.2: "we insert co-partitions into the
+// task queue in a round-robin manner"). nodeOf maps a task to the node
+// holding its data. Within a node, the original relative order is kept.
+func RoundRobinOrder(n int, nodes int, nodeOf func(task int) int) []int {
+	perNode := make([][]int, nodes)
+	for i := 0; i < n; i++ {
+		nd := nodeOf(i)
+		if nd < 0 || nd >= nodes {
+			nd = 0
+		}
+		perNode[nd] = append(perNode[nd], i)
+	}
+	order := make([]int, 0, n)
+	for len(order) < n {
+		for nd := 0; nd < nodes; nd++ {
+			if len(perNode[nd]) > 0 {
+				order = append(order, perNode[nd][0])
+				perNode[nd] = perNode[nd][1:]
+			}
+		}
+	}
+	return order
+}
 
 // Pool runs the phases of one join execution: a fixed worker count, a
 // context consulted at every task boundary, an arena for buffer reuse,

@@ -104,7 +104,7 @@ func Recommend(w WorkloadProfile) Recommendation {
 			threads = 1
 		}
 		rec.RadixBits = radix.PredictBits(w.BuildTuples,
-			radix.LoadFactorFor(tableKindForAlgo(rec.Algorithm)), threads, radix.PaperMachine())
+			radix.LoadFactorFor(designForAlgo(rec.Algorithm)), threads, radix.PaperMachine())
 		rec.Rationale = append(rec.Rationale,
 			fmt.Sprintf("lesson (6): Equation (1) picks %d radix bits for this input", rec.RadixBits))
 	}
@@ -114,7 +114,7 @@ func Recommend(w WorkloadProfile) Recommendation {
 	return rec
 }
 
-func tableKindForAlgo(name string) string {
+func designForAlgo(name string) string {
 	switch name {
 	case "CPRA", "PRA", "PRAiS", "NOPA":
 		return "array"

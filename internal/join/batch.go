@@ -7,29 +7,19 @@ import (
 	"mmjoin/internal/tuple"
 )
 
-// Batch-at-a-time drivers: the glue between the join algorithms and the
-// hashtable batch kernels. Each worker owns one batchState — a cursor
-// over partition fragments, SoA staging buffers, the kernels' scratch
-// arrays and the match output buffer — so the batched path allocates
-// nothing per task or per morsel, exactly like the scalar path it
-// replaces. Options.ScalarKernels switches back to the tuple-at-a-time
-// loops (the ablbatch ablation).
-
-// batchJoinTable is the slice of the batch-kernel API the radix-join
-// driver needs. ChainedTable, LinearTable, RobinHoodTable, ArrayTable
-// and SparseTable implement it; the dynamic dispatch costs one indirect
-// call per 256-tuple batch, while the kernels behind it stay
-// monomorphized per table kind.
-type batchJoinTable interface {
-	BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *hashtable.BatchScratch)
-	ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *hashtable.BatchScratch, out *hashtable.MatchBatch)
-}
-
-// batchProbeTable is the probe-only subset (CHT has no BuildBatch — it
-// only builds through its bulk-loading builder).
-type batchProbeTable interface {
-	ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *hashtable.BatchScratch, out *hashtable.MatchBatch)
-}
+// The pipeline's two halves, shared by the radix and no-partitioning
+// joins (HYBRID keeps its own n:m multimap). build loads fragments into
+// a single-writer table: a co-partition's, or a split partition's
+// prebuilt one. probe probes fragments against any table: a
+// co-partition, one split probe range, or one morsel of a
+// no-partitioning join. Both take a fragment list and a key shift and
+// check the kernel flavor once: the batch kernels by default, or under
+// Options.ScalarKernels the tuple-at-a-time loops (the ablbatch
+// ablation, and the oracle's reference flavor). Each worker owns one
+// batchState — a cursor over the fragments, SoA staging buffers, the
+// kernels' scratch arrays and the match output buffer — so the halves
+// allocate nothing per task or per morsel, and the batch kernels cost
+// one indirect call per 256-tuple batch.
 
 // batchState is one worker's reusable batch plumbing. The zero value is
 // ready; buffers are allocated on first use and live for the worker's
@@ -40,11 +30,12 @@ type batchState struct {
 	out     hashtable.MatchBatch
 	keys    []tuple.Key
 	pays    []tuple.Payload
-	// Lookup output arrays for the non-inner kind paths, which probe via
-	// LookupBatch instead of ProbeJoinBatch (see kind.go). Nil until a
-	// kind path first needs them.
+	// Lookup output arrays for the non-inner kinds, which probe via
+	// LookupBatch instead of ProbeJoinBatch. Nil until first needed.
 	lookPays  []tuple.Payload
 	lookFound []bool
+	// one is the fragment list of a single contiguous run (a morsel).
+	one [1]tuple.Relation
 }
 
 // buffers returns the BatchSize-sized SoA staging arrays, allocating
@@ -63,40 +54,52 @@ func (bs *batchState) buffers() ([]tuple.Key, []tuple.Payload) {
 	return bs.keys, bs.pays
 }
 
-// gatherShifted stages one contiguous tuple run into the SoA buffers,
-// shifting keys right by shift (0 for the global-table joins, the radix
-// bit count inside a partition). len(src) must not exceed the staging
-// buffers' length.
+// lookupBufs returns the batch lookup output arrays, allocated on first
+// use like the staging buffers.
 //
-//mmjoin:hotpath
-//mmjoin:noescape
-//mmjoin:bce
-func gatherShifted(keys []tuple.Key, payloads []tuple.Payload, src []tuple.Tuple, shift uint) {
-	if len(keys) < len(src) || len(payloads) < len(src) {
-		//mmjoin:allow(hotalloc) cold failure path: the boxed panic argument only materializes on driver misuse
-		panic("join: staging buffers shorter than the gathered run")
+//go:noinline
+func (bs *batchState) lookupBufs() ([]tuple.Payload, []bool) {
+	if bs.lookPays == nil {
+		bs.lookPays = make([]tuple.Payload, hashtable.BatchSize)
 	}
-	keys = keys[:len(src)]
-	payloads = payloads[:len(src)]
-	for i := range src {
-		keys[i] = src[i].Key >> shift
-		payloads[i] = src[i].Payload
+	if bs.lookFound == nil {
+		bs.lookFound = make([]bool, hashtable.BatchSize)
 	}
+	return bs.lookPays, bs.lookFound
 }
 
-// buildFrom streams the fragments through BuildBatch, charging the
-// worker per batch so span attribution sees bytes as they move.
+// run returns the one-fragment list over a contiguous run.
+func (bs *batchState) run(r []tuple.Tuple) []tuple.Relation {
+	bs.one[0] = r
+	return bs.one[:]
+}
+
+// build is the build half: it loads the fragments, keys shifted right
+// by shift, into ht — BuildBatch per staged batch, or one Insert per
+// tuple under ScalarKernels. Both flavors charge the same bytes: the
+// streamed tuple plus the design's modeled table operation, op.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
-func (bs *batchState) buildFrom(w *exec.Worker, ht batchJoinTable, frags []tuple.Relation, bits uint, op int64) {
+func (bs *batchState) build(w *exec.Worker, ht partTable, frags []tuple.Relation, shift uint, op int64, o *Options) {
+	if o.ScalarKernels {
+		n := 0
+		for _, frag := range frags {
+			for _, tp := range frag {
+				ht.Insert(tuple.Tuple{Key: tp.Key >> shift, Payload: tp.Payload})
+			}
+			n += len(frag)
+		}
+		w.AddBytes(int64(n) * (tuple.Bytes + op))
+		return
+	}
 	keys, pays := bs.buffers()
 	bs.cursor.Reset(frags)
 	for {
 		// Next never returns more than len(keys); the extra comparisons
 		// restate that for the prove pass.
-		n := bs.cursor.Next(keys, pays, bits)
+		n := bs.cursor.Next(keys, pays, shift)
 		if n <= 0 || n > len(keys) || n > len(pays) {
 			return
 		}
@@ -105,63 +108,64 @@ func (bs *batchState) buildFrom(w *exec.Worker, ht batchJoinTable, frags []tuple
 	}
 }
 
-// probeInto streams the fragments through the ProbeJoinBatch
-// kernel and hands each compacted match buffer to the sink.
+// probe is the probe half: it probes the fragments, keys shifted right
+// by shift, against ht with first-match lookups and emits into s per
+// Options.Kind — ProbeJoinBatch for inner joins, LookupBatch plus the
+// kind's lane rules for the others, and one Lookup per tuple under
+// ScalarKernels. Lookups mark the build entries of a table that tracks
+// matches. Both flavors charge the same bytes. The table is only read
+// (match marks aside, which are idempotent), so workers may share it.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
-func (bs *batchState) probeInto(w *exec.Worker, ht batchProbeTable, frags []tuple.Relation, bits uint, op int64, s *sink) {
+func (bs *batchState) probe(w *exec.Worker, ht joinTable, frags []tuple.Relation, shift uint, op int64, o *Options, s *sink) {
+	if o.ScalarKernels {
+		w.AddBytes(int64(probeScalar(ht, frags, shift, o.Kind, s)) * (tuple.Bytes + op))
+		return
+	}
 	keys, pays := bs.buffers()
+	inner := o.Kind == Inner
+	var buildPays []tuple.Payload
+	var found []bool
+	if !inner {
+		buildPays, found = bs.lookupBufs()
+	}
 	bs.cursor.Reset(frags)
 	for {
-		// Next never returns more than len(keys); the extra comparisons
-		// restate that for the prove pass.
-		n := bs.cursor.Next(keys, pays, bits)
+		n := bs.cursor.Next(keys, pays, shift)
 		if n <= 0 || n > len(keys) || n > len(pays) {
 			return
 		}
-		ht.ProbeJoinBatch(keys[:n], pays[:n], &bs.scratch, &bs.out)
-		if m := bs.out.N; m > 0 && m <= hashtable.BatchSize {
-			s.emitBatch(bs.out.Build[:m], bs.out.Probe[:m])
+		if inner {
+			ht.ProbeJoinBatch(keys[:n], pays[:n], &bs.scratch, &bs.out)
+			if m := bs.out.N; m > 0 && m <= hashtable.BatchSize {
+				s.emitBatch(bs.out.Build[:m], bs.out.Probe[:m])
+			}
+		} else {
+			ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
+			emitKindLanes(o.Kind, s, pays, buildPays, found, n)
 		}
 		w.AddBytes(int64(n) * (tuple.Bytes + op))
 	}
 }
 
-// probeRun is probeInto for a single contiguous run (the morsel loops of
-// the no-partitioning joins and the split probe ranges of the skew-aware
-// schedule), bypassing the fragment cursor.
+// probeScalar is the probe half's scalar flavor: one Lookup per tuple.
+// It returns the number of tuples probed.
 //
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
-func (bs *batchState) probeRun(w *exec.Worker, ht batchProbeTable, run []tuple.Tuple, shift uint, op int64, s *sink) {
-	keys, pays := bs.buffers()
-	for lo := 0; ; lo += hashtable.BatchSize {
-		if uint(lo) >= uint(len(run)) {
-			return
+func probeScalar(ht joinTable, frags []tuple.Relation, shift uint, kind Kind, s *sink) int {
+	n := 0
+	for _, frag := range frags {
+		for _, tp := range frag {
+			bp, ok := ht.Lookup(tp.Key >> shift)
+			emitLane(kind, s, bp, ok, tp.Payload)
 		}
-		rest := run[lo:]
-		n := hashtable.BatchSize
-		if n > len(rest) {
-			n = len(rest)
-		}
-		if n <= 0 || n > len(keys) {
-			return
-		}
-		bk := keys[:n]
-		if n > len(pays) {
-			return
-		}
-		bp := pays[:n]
-		gatherShifted(bk, bp, rest[:n], shift)
-		ht.ProbeJoinBatch(bk, bp, &bs.scratch, &bs.out)
-		if m := bs.out.N; m > 0 && m <= hashtable.BatchSize {
-			s.emitBatch(bs.out.Build[:m], bs.out.Probe[:m])
-		}
-		w.AddBytes(int64(n) * (tuple.Bytes + op))
+		n += len(frag)
 	}
+	return n
 }
 
 // batchConcurrentBuildTable is the concurrent-build subset the
@@ -181,72 +185,13 @@ type batchConcurrentBuildTable interface {
 //mmjoin:bce
 func (bs *batchState) buildRunConcurrent(w *exec.Worker, ht batchConcurrentBuildTable, run []tuple.Tuple, op int64) {
 	keys, pays := bs.buffers()
-	for lo := 0; ; lo += hashtable.BatchSize {
-		if uint(lo) >= uint(len(run)) {
+	bs.cursor.Reset(bs.run(run))
+	for {
+		n := bs.cursor.Next(keys, pays, 0)
+		if n <= 0 || n > len(keys) || n > len(pays) {
 			return
 		}
-		rest := run[lo:]
-		n := hashtable.BatchSize
-		if n > len(rest) {
-			n = len(rest)
-		}
-		if n <= 0 || n > len(keys) {
-			return
-		}
-		bk := keys[:n]
-		if n > len(pays) {
-			return
-		}
-		bp := pays[:n]
-		gatherShifted(bk, bp, rest[:n], 0)
-		ht.BuildBatchConcurrent(bk, bp, &bs.scratch)
+		ht.BuildBatchConcurrent(keys[:n], pays[:n], &bs.scratch)
 		w.AddBytes(int64(n) * (tuple.Bytes + op))
 	}
-}
-
-// joinTaskBatch is the batched joinTask: build a per-co-partition table
-// over the build fragments with BuildBatch, then probe with the
-// kernel. Semantics match joinTask exactly (same shifted keys, same
-// first-match lookup), only the loop structure differs.
-//
-//mmjoin:hotpath
-//mmjoin:noescape
-func (j *radixJoin) joinTaskBatch(w *exec.Worker, wk *workerState, s *sink, bits uint, buildFrags, probeFrags []tuple.Relation, buildLen, probeLen int, op int64) {
-	if buildLen == 0 {
-		// Scalar accounting charges the streamed probe side even when
-		// there is nothing to build; keep the totals identical.
-		w.AddBytes(int64(probeLen) * (tuple.Bytes + op))
-		return
-	}
-	var ht batchJoinTable
-	switch wk.kind {
-	case chainedKind:
-		ht = wk.chainedFor(buildLen)
-	case linearKind:
-		ht = wk.linearFor(buildLen)
-	case arrayKind:
-		wk.array.Reset()
-		ht = wk.array
-	}
-	bs := &wk.batch
-	bs.buildFrom(w, ht, buildFrags, bits, op)
-	bs.probeInto(w, ht, probeFrags, bits, op, s)
-}
-
-// probeSharedBatch is the batched probeShared: one split probe range of
-// an oversized partition against its prebuilt shared table.
-//
-//mmjoin:hotpath
-//mmjoin:noescape
-func (j *radixJoin) probeSharedBatch(w *exec.Worker, st *sharedTable, bs *batchState, s *sink, bits uint, probe []tuple.Tuple, op int64) {
-	var ht batchProbeTable
-	switch j.table {
-	case chainedKind:
-		ht = st.chained
-	case linearKind:
-		ht = st.linear
-	case arrayKind:
-		ht = st.array
-	}
-	bs.probeRun(w, ht, probe, bits, op, s)
 }

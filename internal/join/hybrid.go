@@ -129,7 +129,7 @@ func (j *hybridJoin) RunContext(ctx context.Context, build, probe tuple.Relation
 			resident = append(resident, p)
 		}
 	}
-	res.MaxTaskShare = maxTaskShare(parts, partS.PartLen)
+	res.MaxTaskShare = maxTaskShare(parts, parts, partS.PartLen)
 
 	var mgr *spill.Manager
 	if len(spilled) > 0 {

@@ -207,9 +207,11 @@ type Result struct {
 	// InputTuples is |R|+|S|.
 	InputTuples int64
 	// MaxTaskShare is the probe-tuple share of the largest join-phase
-	// task, in units of the perfectly balanced share (1.0 = balanced;
-	// >> 1 marks the stragglers behind Appendix A's "unbalanced loads
-	// between threads"). Zero for non-partitioned joins.
+	// task, in units of the balanced per-partition share (1.0 =
+	// balanced; >> 1 marks the stragglers behind Appendix A's
+	// "unbalanced loads between threads"). Under SplitSkewedTasks a
+	// split partition's tasks are its probe ranges. Zero for
+	// non-partitioned joins.
 	MaxTaskShare float64
 	// SpilledPartitions and SpilledBytes report HYBRID's memory
 	// pressure response: how many radix partitions left memory and how
@@ -421,19 +423,19 @@ func Names() []string {
 	return out
 }
 
-// maxTaskShare computes the largest task's probe share relative to a
-// perfectly balanced split over all tasks.
-func maxTaskShare(parts int, probeLen func(int) int) float64 {
+// maxTaskShare computes the largest of n join-phase tasks' probe share
+// relative to a balanced split of the probe side over parts partitions.
+// taskLen(i) is task i's probe tuple count; the tasks cover the probe
+// side exactly once.
+func maxTaskShare(parts, n int, taskLen func(i int) int) float64 {
 	if parts == 0 {
 		return 0
 	}
 	total, largest := 0, 0
-	for p := 0; p < parts; p++ {
-		n := probeLen(p)
-		total += n
-		if n > largest {
-			largest = n
-		}
+	for i := 0; i < n; i++ {
+		l := taskLen(i)
+		total += l
+		largest = max(largest, l)
 	}
 	if total == 0 {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mmjoin/internal/exec"
-	"mmjoin/internal/hashtable"
 	"mmjoin/internal/mway"
 	"mmjoin/internal/tuple"
 )
@@ -147,133 +146,26 @@ func splitNullSide(rel tuple.Relation, pads bool, pad func(tuple.Payload)) tuple
 	return out
 }
 
-// kindProbeTable is the table contract of the non-inner probe paths:
-// scalar and batched first-match lookups (which mark build entries once
-// EnableMatchTracking was called) and the unmatched post-pass. All six
-// hash tables implement it.
-type kindProbeTable interface {
-	Lookup(k tuple.Key) (tuple.Payload, bool)
-	LookupBatch(keys []tuple.Key, s *hashtable.BatchScratch, payloads []tuple.Payload, found []bool)
-	EnableMatchTracking()
-	ForEachUnmatched(fn func(tuple.Key, tuple.Payload))
-	Len() int
-}
-
-// probeRunKind probes one contiguous run tuple-at-a-time with the
-// kind's emission rules; the scalar counterpart of probeKindRun. Keys
-// are shifted by shift (the radix bit count inside a partition, 0 for
-// global tables). Right/full-outer tables track matches, so the same
-// Lookup marks the build entries the unmatched post-pass skips.
-func probeRunKind(kind Kind, ht kindProbeTable, run []tuple.Tuple, shift uint, s *sink) {
-	switch kind {
-	case LeftOuter, FullOuter:
-		for _, tp := range run {
-			if p, ok := ht.Lookup(tp.Key >> shift); ok {
-				s.emit(p, tp.Payload)
-			} else {
-				s.emit(tuple.NullPayload, tp.Payload)
-			}
-		}
-	case RightOuter:
-		for _, tp := range run {
-			if p, ok := ht.Lookup(tp.Key >> shift); ok {
-				s.emit(p, tp.Payload)
-			}
-		}
-	case LeftSemi:
-		for _, tp := range run {
-			if _, ok := ht.Lookup(tp.Key >> shift); ok {
-				s.emit(tuple.NullPayload, tp.Payload)
-			}
-		}
-	case LeftAnti:
-		for _, tp := range run {
-			if _, ok := ht.Lookup(tp.Key >> shift); !ok {
-				s.emit(tuple.NullPayload, tp.Payload)
-			}
-		}
+// emitLane applies the kind's emission rules to one probe tuple: bp and
+// found are its first-match lookup, pp its payload. Inner and
+// right-outer joins emit matches only; right/full-outer build padding
+// is the unmatched post-pass's.
+func emitLane(kind Kind, s *sink, bp tuple.Payload, found bool, pp tuple.Payload) {
+	switch {
+	case !found && !kind.padsProbe(), found && kind == LeftAnti:
+		return
+	case !found, kind == LeftSemi:
+		bp = tuple.NullPayload
 	}
+	s.emit(bp, pp)
 }
 
-// emitKindLanes applies the kind's emission rules to one batch of lookup
-// results: lane i pairs buildPays[i]/found[i] with probe payload
-// pays[i].
+// emitKindLanes applies emitLane to one batch of lookup results: lane i
+// pairs buildPays[i]/found[i] with probe payload pays[i].
 func emitKindLanes(kind Kind, s *sink, pays, buildPays []tuple.Payload, found []bool, n int) {
 	pays, buildPays, found = pays[:n], buildPays[:n], found[:n]
-	switch kind {
-	case LeftOuter, FullOuter:
-		for i, pp := range pays {
-			if found[i] {
-				s.emit(buildPays[i], pp)
-			} else {
-				s.emit(tuple.NullPayload, pp)
-			}
-		}
-	case RightOuter:
-		for i, pp := range pays {
-			if found[i] {
-				s.emit(buildPays[i], pp)
-			}
-		}
-	case LeftSemi:
-		for i, pp := range pays {
-			if found[i] {
-				s.emit(tuple.NullPayload, pp)
-			}
-		}
-	case LeftAnti:
-		for i, pp := range pays {
-			if !found[i] {
-				s.emit(tuple.NullPayload, pp)
-			}
-		}
-	}
-}
-
-// lookupBufs returns the batch lookup output arrays, allocated on first
-// use like the staging buffers.
-func (bs *batchState) lookupBufs() ([]tuple.Payload, []bool) {
-	if bs.lookPays == nil {
-		bs.lookPays = make([]tuple.Payload, hashtable.BatchSize)
-	}
-	if bs.lookFound == nil {
-		bs.lookFound = make([]bool, hashtable.BatchSize)
-	}
-	return bs.lookPays, bs.lookFound
-}
-
-// probeKindRun is probeRun with kind emission: batches of the run go
-// through LookupBatch (marking build matches when the table tracks
-// them) and the lanes are emitted per the kind's rules. Byte charges
-// match probeRun's, keeping the scalar/batched accounting identical.
-func (bs *batchState) probeKindRun(w *exec.Worker, kind Kind, ht kindProbeTable, run []tuple.Tuple, shift uint, op int64, s *sink) {
-	keys, pays := bs.buffers()
-	buildPays, found := bs.lookupBufs()
-	for lo := 0; lo < len(run); lo += hashtable.BatchSize {
-		hi := min(lo+hashtable.BatchSize, len(run))
-		n := hi - lo
-		gatherShifted(keys[:n], pays[:n], run[lo:hi], shift)
-		ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
-		emitKindLanes(kind, s, pays, buildPays, found, n)
-		w.AddBytes(int64(n) * (tuple.Bytes + op))
-	}
-}
-
-// probeKindFrags is probeInto with kind emission: partition fragments
-// are staged through the batch cursor, looked up, and emitted per the
-// kind's rules.
-func (bs *batchState) probeKindFrags(w *exec.Worker, kind Kind, ht kindProbeTable, frags []tuple.Relation, bits uint, op int64, s *sink) {
-	keys, pays := bs.buffers()
-	buildPays, found := bs.lookupBufs()
-	bs.cursor.Reset(frags)
-	for {
-		n := bs.cursor.Next(keys, pays, bits)
-		if n == 0 {
-			return
-		}
-		ht.LookupBatch(keys[:n], &bs.scratch, buildPays, found)
-		emitKindLanes(kind, s, pays, buildPays, found, n)
-		w.AddBytes(int64(n) * (tuple.Bytes + op))
+	for i, pp := range pays {
+		emitLane(kind, s, buildPays[i], found[i], pp)
 	}
 }
 
@@ -281,7 +173,7 @@ func (bs *batchState) probeKindFrags(w *exec.Worker, kind Kind, ht kindProbeTabl
 // completed, every build entry whose mark was never set pads one output
 // row. The walk is shared by the scalar and batched flavors (and charged
 // identically: one streaming read of the table's entries).
-func emitUnmatchedBuild(w *exec.Worker, ht kindProbeTable, s *sink) {
+func emitUnmatchedBuild(w *exec.Worker, ht joinTable, s *sink) {
 	ht.ForEachUnmatched(func(_ tuple.Key, bp tuple.Payload) {
 		s.emit(bp, tuple.NullPayload)
 	})
@@ -298,70 +190,7 @@ func mergePre(res *Result, pre *sink) {
 	res.Pairs = append(res.Pairs, pre.pairs...)
 }
 
-// joinTaskKind is joinTask/joinTaskBatch for the non-inner kinds: build
-// the per-co-partition table (scalar inserts or BuildBatch per the
-// flavor), probe with the kind's emission rules, and, for right/full
-// outer, walk the never-matched build entries. Byte charges per side
-// match the inner paths', so the scalar and batched flavors stay in
-// exact accounting parity.
-func (j *radixJoin) joinTaskKind(w *exec.Worker, wk *workerState, s *sink, kind Kind, scalar bool, bits uint, buildFrags, probeFrags []tuple.Relation, buildLen, probeLen int, op int64) {
-	if buildLen == 0 {
-		// Nothing to build: every probe tuple of the co-partition is
-		// unmatched. The streamed probe side is still charged, exactly
-		// like the inner paths' empty-build case.
-		if kind.padsProbe() {
-			for _, frag := range probeFrags {
-				for _, tp := range frag {
-					s.emit(tuple.NullPayload, tp.Payload)
-				}
-			}
-		}
-		w.AddBytes(int64(probeLen) * (tuple.Bytes + op))
-		return
-	}
-	var bt interface {
-		Insert(tuple.Tuple)
-		batchJoinTable
-	}
-	var ht kindProbeTable
-	switch wk.kind {
-	case chainedKind:
-		t := wk.chainedFor(buildLen)
-		bt, ht = t, t
-	case linearKind:
-		t := wk.linearFor(buildLen)
-		bt, ht = t, t
-	case arrayKind:
-		wk.array.Reset()
-		bt, ht = wk.array, wk.array
-	}
-	if scalar {
-		for _, frag := range buildFrags {
-			for _, tp := range frag {
-				bt.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-		w.AddBytes(int64(buildLen) * (tuple.Bytes + op))
-	} else {
-		wk.batch.buildFrom(w, bt, buildFrags, bits, op)
-	}
-	if kind.padsBuild() {
-		ht.EnableMatchTracking()
-	}
-	if scalar {
-		for _, frag := range probeFrags {
-			probeRunKind(kind, ht, frag, bits, s)
-		}
-		w.AddBytes(int64(probeLen) * (tuple.Bytes + op))
-	} else {
-		wk.batch.probeKindFrags(w, kind, ht, probeFrags, bits, op, s)
-	}
-	if kind.padsBuild() {
-		emitUnmatchedBuild(w, ht, s)
-	}
-}
-
-// mergeJoinKind is the sort-merge counterpart of probeRunKind: one
+// mergeJoinKind is the sort-merge counterpart of emitLane: one
 // merge pass over two sorted runs with the kind's emission rules, built
 // on mway.MergeJoinEvents so the traversal (and byte traffic) is
 // identical to the inner MergeJoin. r is the build side, s2 the probe

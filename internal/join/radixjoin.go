@@ -5,33 +5,9 @@ import (
 	"time"
 
 	"mmjoin/internal/exec"
-	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
-
-// tableKind selects the per-co-partition join data structure
-// (Section 5.2: chained vs linear probing vs array).
-type tableKind int
-
-const (
-	chainedKind tableKind = iota
-	linearKind
-	arrayKind
-)
-
-func (k tableKind) String() string {
-	switch k {
-	case chainedKind:
-		return "chained"
-	case linearKind:
-		return "linear"
-	case arrayKind:
-		return "array"
-	}
-	return "unknown"
-}
 
 func init() {
 	register(Spec{
@@ -40,7 +16,7 @@ func init() {
 		Description: "Basic two-pass parallel radix join without software managed buffer and non-temporal streaming",
 		Paper:       "Balkesen et al. [5]",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRB", twoPass: true, table: chainedKind}
+			return &radixJoin{name: "PRB", twoPass: true, table: DesignChained}
 		},
 	})
 	register(Spec{
@@ -49,7 +25,7 @@ func init() {
 		Description: "One-pass parallel radix join with software managed buffer and non-temporal streaming",
 		Paper:       "Balkesen et al. [5]",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRO", swwcb: true, table: chainedKind}
+			return &radixJoin{name: "PRO", swwcb: true, table: DesignChained}
 		},
 	})
 	register(Spec{
@@ -58,7 +34,7 @@ func init() {
 		Description: "Same as PRO except using linear probing hashing instead of bucket chaining",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRL", swwcb: true, table: linearKind}
+			return &radixJoin{name: "PRL", swwcb: true, table: DesignLinear}
 		},
 	})
 	register(Spec{
@@ -67,7 +43,7 @@ func init() {
 		Description: "Same as PRO except using arrays as hash tables",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRA", swwcb: true, table: arrayKind}
+			return &radixJoin{name: "PRA", swwcb: true, table: DesignArray}
 		},
 	})
 	register(Spec{
@@ -76,7 +52,7 @@ func init() {
 		Description: "Chunked parallel radix join with software managed buffer and non-temporal streaming",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "CPRL", swwcb: true, chunked: true, table: linearKind}
+			return &radixJoin{name: "CPRL", swwcb: true, chunked: true, table: DesignLinear}
 		},
 	})
 	register(Spec{
@@ -85,7 +61,7 @@ func init() {
 		Description: "Same as CPRL except using arrays as hash tables",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "CPRA", swwcb: true, chunked: true, table: arrayKind}
+			return &radixJoin{name: "CPRA", swwcb: true, chunked: true, table: DesignArray}
 		},
 	})
 	register(Spec{
@@ -94,7 +70,7 @@ func init() {
 		Description: "PRO with improved scheduling",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "PROiS", swwcb: true, table: chainedKind, improvedSched: true}
+			return &radixJoin{name: "PROiS", swwcb: true, table: DesignChained, improvedSched: true}
 		},
 	})
 	register(Spec{
@@ -103,7 +79,7 @@ func init() {
 		Description: "Same as PROiS except using linear probing hashing instead of bucket chaining",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRLiS", swwcb: true, table: linearKind, improvedSched: true}
+			return &radixJoin{name: "PRLiS", swwcb: true, table: DesignLinear, improvedSched: true}
 		},
 	})
 	register(Spec{
@@ -112,7 +88,7 @@ func init() {
 		Description: "PRA with improved scheduling",
 		Paper:       "this",
 		New: func() Algorithm {
-			return &radixJoin{name: "PRAiS", swwcb: true, table: arrayKind, improvedSched: true}
+			return &radixJoin{name: "PRAiS", swwcb: true, table: DesignArray, improvedSched: true}
 		},
 	})
 }
@@ -132,7 +108,9 @@ type radixJoin struct {
 	// improvedSched inserts join tasks round-robin over NUMA nodes
 	// (the iS variants of Section 6.2).
 	improvedSched bool
-	table         tableKind
+	// table is the per-co-partition table design (Section 5.2: chained
+	// vs linear probing vs array).
+	table TableDesign
 }
 
 func (j *radixJoin) Name() string { return j.name }
@@ -154,7 +132,7 @@ func (j *radixJoin) pickBits(o *Options, buildLen, domain int) uint {
 		return prbTotalBits
 	}
 	bits := radix.PredictBits(buildLen, radix.LoadFactorFor(j.table.String()), o.Threads, o.Geometry)
-	if j.table == arrayKind && o.AdaptBitsToDomain && domain > buildLen {
+	if j.table == DesignArray && o.AdaptBitsToDomain && domain > buildLen {
 		// Appendix C remedy: partition finer so the per-partition array
 		// (4 bytes per domain slot) keeps fitting the cache.
 		domBits := radix.PredictBits(domain, radix.LoadFactorFor("array"), o.Threads, o.Geometry)
@@ -180,7 +158,7 @@ func (j *radixJoin) RunContext(ctx context.Context, build, probe tuple.Relation,
 	pre := sink{materialize: o.Materialize}
 	build, probe = splitKindInputs(&o, build, probe, &pre)
 	domain := o.Domain
-	if j.table == arrayKind && domain == 0 {
+	if j.table == DesignArray && domain == 0 {
 		domain = maxKeyDomain(build)
 	}
 	bits := j.pickBits(&o, len(build), domain)
@@ -248,70 +226,50 @@ func (j *radixJoin) RunContext(ctx context.Context, build, probe tuple.Relation,
 	// Join phase: co-partitions are inserted into a task queue —
 	// ascending (the original LIFO stack) or round-robin over the NUMA
 	// nodes holding the build partitions (iS).
-	order := sched.SequentialOrder(parts)
+	order := exec.SequentialOrder(parts)
 	if j.improvedSched {
 		nodeOf := j.partitionNode(&o, prG, prC, len(build))
-		order = sched.RoundRobinOrder(parts, o.Topology.Nodes, nodeOf)
+		order = exec.RoundRobinOrder(parts, o.Topology.Nodes, nodeOf)
 		pool.SetQueueStrategy("lifo(round-robin)")
 	} else {
 		pool.SetQueueStrategy("lifo(sequential)")
 	}
-	domainPerPart := (domain >> bits) + 1
-	// The fragment accessors append into caller-owned scratch so the
-	// task loop reuses one slice header per worker instead of
-	// allocating a fragment list per co-partition.
-	buildFrags := func(dst []tuple.Relation, p int) []tuple.Relation {
+	probeLens := make([]int, parts)
+	for p := range probeLens {
 		if j.chunked {
-			return prC.AppendFragments(dst, p)
+			probeLens[p] = psC.PartLen(p)
+		} else {
+			probeLens[p] = psG.PartLen(p)
 		}
-		return append(dst, prG.Part(p))
 	}
-	probeFrags := func(dst []tuple.Relation, p int) []tuple.Relation {
-		if j.chunked {
-			return psC.AppendFragments(dst, p)
-		}
-		return append(dst, psG.Part(p))
-	}
-	buildLen := func(p int) int {
-		if j.chunked {
-			return prC.PartLen(p)
-		}
-		return prG.PartLen(p)
-	}
-	probeLen := func(p int) int {
-		if j.chunked {
-			return psC.PartLen(p)
-		}
-		return psG.PartLen(p)
-	}
-	if o.SplitSkewedTasks {
-		err = j.runJoinPhaseSkewAware(pool, &o, bits, order, parts, buildFrags, probeFrags, buildLen, probeLen, domainPerPart, sinks)
-	} else {
-		states := make([]*workerState, o.Threads)
-		op := j.opBytes()
-		err = pool.RunQueue("join", sched.NewLIFO(order), func(w *exec.Worker, p int) {
-			wk := states[w.ID]
-			if wk == nil {
-				wk = newWorkerState(j.table, o.Hash, domainPerPart, o.Arena)
-				states[w.ID] = wk
-				w.AddAllocs(1)
+	tasks := planTasks(probeLens, order, o.Threads, o.SplitSkewedTasks)
+	ph := &joinPhase{
+		o:             &o,
+		design:        j.table,
+		bits:          bits,
+		op:            tableOpBytes(j.table),
+		domainPerPart: (domain >> bits) + 1,
+		tasks:         tasks,
+		buildFrags: func(dst []tuple.Relation, p int) []tuple.Relation {
+			if j.chunked {
+				return prC.AppendFragments(dst, p)
 			}
-			wk.buildScratch = buildFrags(wk.buildScratch[:0], p)
-			wk.probeScratch = probeFrags(wk.probeScratch[:0], p)
-			bl, pl := buildLen(p), probeLen(p)
-			if o.Kind != Inner {
-				j.joinTaskKind(w, wk, &sinks[w.ID], o.Kind, o.ScalarKernels, bits, wk.buildScratch, wk.probeScratch, bl, pl, op)
-			} else if o.ScalarKernels {
-				j.joinTask(wk, &sinks[w.ID], bits, wk.buildScratch, wk.probeScratch, bl)
-				// Stream both sides once, plus one table operation per tuple.
-				w.AddBytes(int64(bl+pl) * (tuple.Bytes + op))
-			} else {
-				j.joinTaskBatch(w, wk, &sinks[w.ID], bits, wk.buildScratch, wk.probeScratch, bl, pl, op)
+			return append(dst, prG.Part(p))
+		},
+		probeFrags: func(dst []tuple.Relation, p int) []tuple.Relation {
+			if j.chunked {
+				return psC.AppendFragments(dst, p)
 			}
-		})
-		freeWorkerStates(states)
+			return append(dst, psG.Part(p))
+		},
+		buildLen: func(p int) int {
+			if j.chunked {
+				return prC.PartLen(p)
+			}
+			return prG.PartLen(p)
+		},
 	}
-	if err != nil {
+	if err := ph.run(pool, sinks); err != nil {
 		release()
 		return nil, err
 	}
@@ -322,7 +280,9 @@ func (j *radixJoin) RunContext(ctx context.Context, build, probe tuple.Relation,
 	res.Total = end.Sub(start)
 	mergeSinks(res, sinks)
 	mergePre(res, &pre)
-	res.MaxTaskShare = maxTaskShare(parts, probeLen)
+	res.MaxTaskShare = maxTaskShare(parts, len(tasks), func(i int) int {
+		return tasks[i].probeHi - tasks[i].probeLo
+	})
 
 	if o.Traffic != nil {
 		passes := 1
@@ -373,168 +333,5 @@ func (j *radixJoin) partitionNode(o *Options, prG *radix.Partitioned, prC *radix
 			off = region.Size() - 1
 		}
 		return region.NodeAt(off)
-	}
-}
-
-// opBytes is the modeled per-tuple table traffic of the join's table
-// kind (see hashtable.OpBytes), used to attribute join-phase bytes.
-func (j *radixJoin) opBytes() int64 {
-	switch j.table {
-	case linearKind:
-		return hashtable.LinearOpBytes
-	case arrayKind:
-		return hashtable.ArrayOpBytes
-	default:
-		return hashtable.ChainedOpBytes
-	}
-}
-
-// workerState holds one worker's reusable join table so that thousands
-// of co-partition tasks do not allocate thousands of tables.
-type workerState struct {
-	kind          tableKind
-	hash          func(tuple.Key) uint64
-	a             *exec.Arena // backs the tables' storage; nil = plain heap
-	chained       *hashtable.ChainedTable
-	chainedCap    int
-	linear        *hashtable.LinearTable
-	array         *hashtable.ArrayTable
-	domainPerPart int
-	// batch is the worker's batch-kernel plumbing (cursor, scratch,
-	// staging and match buffers), reused across all its tasks.
-	batch batchState
-	// buildScratch and probeScratch are reused fragment-header slices
-	// for the task loop's buildFrags/probeFrags gathering; after a few
-	// tasks they reach the chunk count and stop growing.
-	buildScratch []tuple.Relation
-	probeScratch []tuple.Relation
-}
-
-func newWorkerState(kind tableKind, hash func(tuple.Key) uint64, domainPerPart int, a *exec.Arena) *workerState {
-	wk := &workerState{kind: kind, hash: hash, domainPerPart: domainPerPart, a: a}
-	if kind == arrayKind {
-		wk.array = hashtable.NewArrayTableArena(0, domainPerPart, a)
-	}
-	return wk
-}
-
-// free returns the worker's cached table storage to the arena. The join
-// phase calls it on success and error exits alike — with an arena-backed
-// (possibly off-heap) run the storage is invisible to the GC, so an
-// unfreed table is a real leak, not garbage.
-func (wk *workerState) free() {
-	if wk.chained != nil {
-		wk.chained.Free()
-		wk.chained = nil
-		wk.chainedCap = 0
-	}
-	if wk.linear != nil {
-		wk.linear.Free()
-		wk.linear = nil
-	}
-	if wk.array != nil {
-		wk.array.Free()
-		wk.array = nil
-	}
-}
-
-func freeWorkerStates(states []*workerState) {
-	for _, wk := range states {
-		if wk != nil {
-			wk.free()
-		}
-	}
-}
-
-// chainedFor returns a chained table sized for n tuples, reusing the
-// cached one when possible.
-func (wk *workerState) chainedFor(n int) *hashtable.ChainedTable {
-	if wk.chained == nil || n > wk.chainedCap {
-		if wk.chained != nil {
-			wk.chained.Free()
-		}
-		wk.chained = hashtable.NewChainedTableArena(n, wk.hash, wk.a)
-		wk.chainedCap = n
-	} else {
-		wk.chained.Reset()
-	}
-	return wk.chained
-}
-
-// linearFor returns a linear-probing table with capacity for n tuples.
-func (wk *workerState) linearFor(n int) *hashtable.LinearTable {
-	if wk.linear == nil || n*2 > wk.linear.Slots() {
-		if wk.linear != nil {
-			wk.linear.Free()
-		}
-		wk.linear = hashtable.NewLinearTableArena(n, wk.hash, wk.a)
-	} else {
-		wk.linear.Reset()
-	}
-	return wk.linear
-}
-
-// joinTask joins one co-partition: build a table over the build
-// fragments, probe the probe fragments. Reading the (possibly
-// NUMA-remote) fragments sequentially while loading them into a local
-// table is exactly the CPRL join step of Section 6.1; for the PR*
-// variants there is a single fragment per side.
-//
-// Keys inside partition p all share their low `bits` bits, so the
-// per-partition tables index on the remaining high bits (k >> bits),
-// exactly like the radix-join implementations of Balkesen et al. —
-// hashing the raw key into a table smaller than 2^bits slots would send
-// the whole partition to one slot. Shifted equality is full equality
-// within a partition, so lookups stay exact.
-//
-//mmjoin:hotpath
-func (j *radixJoin) joinTask(wk *workerState, s *sink, bits uint, buildFrags, probeFrags []tuple.Relation, buildLen int) {
-	if buildLen == 0 {
-		return
-	}
-	switch wk.kind {
-	case chainedKind:
-		ht := wk.chainedFor(buildLen)
-		for _, frag := range buildFrags {
-			for _, tp := range frag {
-				ht.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-		for _, frag := range probeFrags {
-			for _, tp := range frag {
-				if p, ok := ht.Lookup(tp.Key >> bits); ok {
-					s.emit(p, tp.Payload)
-				}
-			}
-		}
-	case linearKind:
-		ht := wk.linearFor(buildLen)
-		for _, frag := range buildFrags {
-			for _, tp := range frag {
-				ht.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-		for _, frag := range probeFrags {
-			for _, tp := range frag {
-				if p, ok := ht.Lookup(tp.Key >> bits); ok {
-					s.emit(p, tp.Payload)
-				}
-			}
-		}
-	case arrayKind:
-		at := wk.array
-		at.Reset()
-		for _, frag := range buildFrags {
-			for _, tp := range frag {
-				at.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-		for _, frag := range probeFrags {
-			for _, tp := range frag {
-				if p, ok := at.Lookup(tp.Key >> bits); ok {
-					s.emit(p, tp.Payload)
-				}
-			}
-		}
 	}
 }

@@ -1,167 +1,284 @@
 package join
 
 import (
+	"math"
 	"sort"
 	"sync"
 
 	"mmjoin/internal/exec"
 	"mmjoin/internal/hashtable"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
 
-// Skew-aware task decomposition: an extension the paper points at but
-// leaves unexploited (Appendix A: "We do not exploit the possibility to
-// use multiple threads to process the join on the largest partitions in
-// parallel", and lesson (3)'s caveat that partition-based joins suffer
-// unbalanced loads under heavy skew). With Options.SplitSkewedTasks the
-// radix joins detect oversized co-partitions, build their tables once up
-// front, and let several workers probe disjoint ranges of the oversized
-// probe side concurrently — removing the straggler task that otherwise
-// dominates the makespan at Zipf 0.99.
+// The radix joins' join phase: one task list over the co-partitions,
+// every task running joinPartition. Skew-aware task decomposition is an
+// extension the paper points at but leaves unexploited (Appendix A: "We
+// do not exploit the possibility to use multiple threads to process the
+// join on the largest partitions in parallel", and lesson (3)'s caveat
+// that partition-based joins suffer unbalanced loads under heavy skew).
+// With Options.SplitSkewedTasks the radix joins detect oversized
+// co-partitions, build their tables once up front, and let several
+// workers probe disjoint ranges of the oversized probe side concurrently
+// — removing the straggler task that otherwise dominates the makespan
+// at Zipf 0.99.
 
 // skewSplitFactor: a co-partition whose probe side exceeds this multiple
 // of the average becomes a shared-table task split into probe ranges.
 const skewSplitFactor = 4
 
-type sharedTable struct {
-	linear  *hashtable.LinearTable
-	chained *hashtable.ChainedTable
-	array   *hashtable.ArrayTable
-}
-
-// free returns the shared table's arena-drawn storage (a no-op for
-// heap-backed tables).
-func (st *sharedTable) free() {
-	if st.chained != nil {
-		st.chained.Free()
-	}
-	if st.linear != nil {
-		st.linear.Free()
-	}
-	if st.array != nil {
-		st.array.Free()
-	}
-}
-
-// asKindTable returns whichever table is populated behind the kind-path
-// probe contract (non-inner joins; see kind.go).
-func (st *sharedTable) asKindTable() kindProbeTable {
-	switch {
-	case st.chained != nil:
-		return st.chained
-	case st.linear != nil:
-		return st.linear
-	default:
-		return st.array
-	}
-}
-
-type skewTask struct {
+type partTask struct {
 	part int
 	// split marks tasks probing a range of an oversized partition
-	// against a prebuilt shared table.
+	// against its prebuilt shared table.
 	split   bool
 	probeLo int // index into the concatenated probe fragments
 	probeHi int
 }
 
-// planSkewSplit decides which partitions to split. probeLens[p] is the
-// probe-side tuple count of partition p; order is the scheduling order
-// of the partitions.
-func planSkewSplit(probeLens []int, order []int, threads int) []skewTask {
+// planTasks lays out the join phase's tasks in scheduling order: one per
+// partition of order, except that with split set a partition whose probe
+// side exceeds skewSplitFactor times the average becomes split tasks
+// over disjoint probe ranges. probeLens[p] is partition p's probe tuple
+// count.
+func planTasks(probeLens []int, order []int, threads int, split bool) []partTask {
 	total := 0
 	for _, n := range probeLens {
 		total += n
 	}
-	parts := len(probeLens)
-	if parts == 0 || total == 0 {
-		out := make([]skewTask, len(order))
-		for i, p := range order {
-			out[i] = skewTask{part: p, probeHi: probeLens[p]}
-		}
-		return out
+	avg, threshold := 1, math.MaxInt
+	if split && total > 0 {
+		avg = max(total/len(probeLens), 1)
+		threshold = avg * skewSplitFactor
 	}
-	avg := total / parts
-	if avg < 1 {
-		avg = 1
-	}
-	threshold := avg * skewSplitFactor
-	var tasks []skewTask
+	tasks := make([]partTask, 0, len(order))
 	for _, p := range order {
 		n := probeLens[p]
 		if n <= threshold {
-			tasks = append(tasks, skewTask{part: p, probeHi: n})
+			tasks = append(tasks, partTask{part: p, probeHi: n})
 			continue
 		}
 		// Split into ~threads ranges of at least avg tuples each.
-		ranges := threads
-		if ranges > n/avg {
-			ranges = n / avg
-		}
+		ranges := min(threads, n/avg)
 		if ranges < 2 {
 			ranges = 2
 		}
 		for _, ch := range tuple.Chunks(n, ranges) {
-			tasks = append(tasks, skewTask{part: p, split: true, probeLo: ch.Begin, probeHi: ch.End})
+			tasks = append(tasks, partTask{part: p, split: true, probeLo: ch.Begin, probeHi: ch.End})
 		}
 	}
 	return tasks
 }
 
-// buildSharedTable builds the read-only table for one oversized
-// partition.
-func (j *radixJoin) buildSharedTable(bits uint, frags []tuple.Relation, buildLen, domainPerPart int, hash func(tuple.Key) uint64, a *exec.Arena) *sharedTable {
-	st := &sharedTable{}
-	switch j.table {
-	case chainedKind:
-		st.chained = hashtable.NewChainedTableArena(buildLen, hash, a)
-		for _, frag := range frags {
-			for _, tp := range frag {
-				st.chained.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-	case linearKind:
-		st.linear = hashtable.NewLinearTableArena(buildLen, hash, a)
-		for _, frag := range frags {
-			for _, tp := range frag {
-				st.linear.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-	case arrayKind:
-		st.array = hashtable.NewArrayTableArena(0, domainPerPart, a)
-		for _, frag := range frags {
-			for _, tp := range frag {
-				st.array.Insert(tuple.Tuple{Key: tp.Key >> bits, Payload: tp.Payload})
-			}
-		}
-	}
-	return st
+// joinPhase is one radix join's join phase: its co-partitions, the task
+// list over them, the prebuilt tables of split partitions and the
+// workers' reusable state.
+type joinPhase struct {
+	o             *Options
+	design        TableDesign
+	bits          uint
+	op            int64 // the design's modeled per-tuple table traffic
+	domainPerPart int
+	tasks         []partTask
+	// buildFrags and probeFrags append partition p's fragments to dst,
+	// so a worker reuses one slice header per side instead of
+	// allocating a fragment list per co-partition.
+	buildFrags, probeFrags func(dst []tuple.Relation, p int) []tuple.Relation
+	buildLen               func(p int) int
+
+	states []*workerState
+	// split lists the split partitions in ascending order; shared and
+	// sharedProbe hold each one's prebuilt table and probe-side copy.
+	split       []int
+	shared      map[int]partTable
+	sharedProbe map[int]tuple.Relation
 }
 
-// probeShared probes one probe range against a prebuilt table.
+// workerState holds one worker's reusable join table, so that thousands
+// of co-partition tasks do not allocate thousands of tables.
+type workerState struct {
+	table partTable
+	fits  int // the most build tuples table holds
+	batch batchState
+	// buildScratch and probeScratch are the reused fragment lists; after
+	// a few tasks they reach the chunk count and stop growing.
+	buildScratch []tuple.Relation
+	probeScratch []tuple.Relation
+}
+
+// run runs the join phase on pool: a "skew-prebuild" phase when tasks
+// split, then one "join" phase that pops the tasks off a LIFO stack (in
+// reverse of their order) and runs joinPartition for each. Both run on
+// the caller's pool, so cancellation propagates and the phases show up
+// in the execution stats. All table storage and probe copies go back
+// to the arena on every exit.
+func (ph *joinPhase) run(pool *exec.Pool, sinks []sink) error {
+	ph.states = make([]*workerState, pool.Threads())
+	defer ph.release(pool.Arena())
+	if err := ph.prebuild(pool); err != nil {
+		return err
+	}
+	err := pool.RunQueue("join", exec.NewLIFO(exec.SequentialOrder(len(ph.tasks))), func(w *exec.Worker, ti int) {
+		ph.joinPartition(w, ph.state(w), ph.tasks[ti], &sinks[w.ID])
+	})
+	if err == nil && ph.o.Kind.padsBuild() {
+		// Unmatched post-pass over the shared tables, once per split
+		// partition, in partition order so the materialized output is
+		// deterministic. The per-task tables already padded theirs.
+		for _, p := range ph.split {
+			emitUnmatchedBuild(nil, ph.shared[p], &sinks[0])
+		}
+	}
+	return err
+}
+
+// prebuild builds every split partition's shared table through the
+// build half, one partition per task, and copies its probe side once so
+// the split tasks can range over it.
+func (ph *joinPhase) prebuild(pool *exec.Pool) error {
+	for i, t := range ph.tasks {
+		if t.split && (i == 0 || ph.tasks[i-1].part != t.part) {
+			ph.split = append(ph.split, t.part)
+		}
+	}
+	if len(ph.split) == 0 {
+		return nil
+	}
+	sort.Ints(ph.split)
+	ph.shared = make(map[int]partTable, len(ph.split))
+	ph.sharedProbe = make(map[int]tuple.Relation, len(ph.split))
+	var mu sync.Mutex
+	return pool.RunQueue("skew-prebuild", exec.NewRange(len(ph.split)), func(w *exec.Worker, i int) {
+		p := ph.split[i]
+		wk := ph.state(w)
+		ht, _ := ph.newTable(ph.buildLen(p))
+		wk.buildScratch = ph.buildFrags(wk.buildScratch[:0], p)
+		wk.batch.build(w, ht, wk.buildScratch, ph.bits, ph.op, ph.o)
+		if ph.o.Kind.padsBuild() {
+			// Marks are set atomically by the concurrent range probes;
+			// the unmatched post-pass runs once after the join phase.
+			ht.EnableMatchTracking()
+		}
+		wk.probeScratch = ph.probeFrags(wk.probeScratch[:0], p)
+		probe := concatFragments(pool.Arena(), wk.probeScratch)
+		w.AddBytes(2 * int64(len(probe)) * tuple.Bytes) // read + write of the copy
+		w.AddAllocs(2)                                  // shared table + probe copy
+		mu.Lock()
+		ph.shared[p] = ht
+		ph.sharedProbe[p] = probe
+		mu.Unlock()
+	})
+}
+
+// joinPartition is the join step of every task: get the table for the
+// design, run the build half, turn on match tracking if the kind pads
+// the build side, run the probe half, then run the unmatched post-pass.
+// A split task's table is its partition's prebuilt shared one, so it
+// probes its range only and leaves the post-pass to the end of the
+// phase, after every range has marked its matches.
+//
+// Keys inside partition p all share their low `bits` bits, so the
+// per-partition tables index on the remaining high bits (k >> bits),
+// exactly like the radix-join implementations of Balkesen et al. —
+// hashing the raw key into a table smaller than 2^bits slots would send
+// the whole partition to one slot. Shifted equality is full equality
+// within a partition, so lookups stay exact. For the PR* variants there
+// is a single fragment per side; CPR* reads one per chunk.
 //
 //mmjoin:hotpath
-func (j *radixJoin) probeShared(st *sharedTable, s *sink, bits uint, probe []tuple.Tuple) {
-	switch j.table {
-	case chainedKind:
-		for _, tp := range probe {
-			if p, ok := st.chained.Lookup(tp.Key >> bits); ok {
-				s.emit(p, tp.Payload)
-			}
+//mmjoin:noescape
+//mmjoin:bce
+func (ph *joinPhase) joinPartition(w *exec.Worker, wk *workerState, t partTask, s *sink) {
+	o := ph.o
+	var ht partTable
+	var probeFrags []tuple.Relation
+	if t.split {
+		ht = ph.shared[t.part]
+		probe := ph.sharedProbe[t.part]
+		// planTasks keeps every range inside the copy; the guard
+		// restates that for the prove pass.
+		if t.probeLo < 0 || t.probeLo > t.probeHi || t.probeHi > len(probe) {
+			return
 		}
-	case linearKind:
-		for _, tp := range probe {
-			if p, ok := st.linear.Lookup(tp.Key >> bits); ok {
-				s.emit(p, tp.Payload)
-			}
+		probeFrags = wk.batch.run(probe[t.probeLo:t.probeHi])
+	} else {
+		n := ph.buildLen(t.part)
+		if n == 0 && !o.Kind.padsProbe() {
+			// Nothing can match and nothing pads: charge the probe side
+			// as streamed, as a probe of an empty table would.
+			w.AddBytes(int64(t.probeHi) * (tuple.Bytes + ph.op))
+			return
 		}
-	case arrayKind:
-		for _, tp := range probe {
-			if p, ok := st.array.Lookup(tp.Key >> bits); ok {
-				s.emit(p, tp.Payload)
-			}
+		ht = ph.tableFor(wk, n)
+		wk.buildScratch = ph.buildFrags(wk.buildScratch[:0], t.part)
+		wk.batch.build(w, ht, wk.buildScratch, ph.bits, ph.op, o)
+		if o.Kind.padsBuild() {
+			ht.EnableMatchTracking()
 		}
+		wk.probeScratch = ph.probeFrags(wk.probeScratch[:0], t.part)
+		probeFrags = wk.probeScratch
+	}
+	wk.batch.probe(w, ht, probeFrags, ph.bits, ph.op, o, s)
+	if !t.split && o.Kind.padsBuild() {
+		emitUnmatchedBuild(w, ht, s)
+	}
+}
+
+// state returns worker w's state, creating it on the worker's first task.
+func (ph *joinPhase) state(w *exec.Worker) *workerState {
+	wk := ph.states[w.ID]
+	if wk == nil {
+		wk = &workerState{}
+		ph.states[w.ID] = wk
+		w.AddAllocs(1)
+	}
+	return wk
+}
+
+// tableFor returns wk's table reset for a co-partition of n build
+// tuples, replacing it with a larger one when n does not fit.
+func (ph *joinPhase) tableFor(wk *workerState, n int) partTable {
+	if wk.table != nil && n <= wk.fits {
+		wk.table.Reset()
+		return wk.table
+	}
+	if wk.table != nil {
+		wk.table.Free()
+	}
+	wk.table, wk.fits = ph.newTable(n)
+	return wk.table
+}
+
+// newTable makes an empty table of the join's design for n build tuples
+// and reports how many it holds at most: the linear table keeps a load
+// factor of at most 1/2, the array covers the partition's whole key
+// domain.
+func (ph *joinPhase) newTable(n int) (partTable, int) {
+	switch ph.design {
+	case DesignChained:
+		return hashtable.NewChainedTableArena(n, ph.o.Hash, ph.o.Arena), n
+	case DesignLinear:
+		t := hashtable.NewLinearTableArena(n, ph.o.Hash, ph.o.Arena)
+		return t, t.Slots() / 2
+	default:
+		return hashtable.NewArrayTableArena(0, ph.domainPerPart, ph.o.Arena), math.MaxInt
+	}
+}
+
+// release returns the workers' tables, the shared tables and the probe
+// copies to the arena. With an arena-backed (possibly off-heap) run the
+// storage is invisible to the GC, so an unfreed table is a real leak,
+// not garbage.
+func (ph *joinPhase) release(a *exec.Arena) {
+	for _, wk := range ph.states {
+		if wk != nil && wk.table != nil {
+			wk.table.Free()
+		}
+	}
+	for _, ht := range ph.shared {
+		ht.Free()
+	}
+	for _, probe := range ph.sharedProbe {
+		a.PutTuples(probe)
 	}
 }
 
@@ -180,147 +297,4 @@ func concatFragments(a *exec.Arena, frags []tuple.Relation) tuple.Relation {
 		off += copy(out[off:], f)
 	}
 	return out[:off]
-}
-
-// runJoinPhaseSkewAware replaces the plain partition-per-task join phase
-// when Options.SplitSkewedTasks is set. buildFrags/probeFrags expose a
-// partition's fragments; probeLens its probe tuple count. Both of its
-// phases run on the caller's pool, so cancellation propagates and the
-// phases show up in the execution stats.
-func (j *radixJoin) runJoinPhaseSkewAware(
-	pool *exec.Pool,
-	o *Options,
-	bits uint,
-	order []int,
-	parts int,
-	buildFrags, probeFrags func(dst []tuple.Relation, p int) []tuple.Relation,
-	buildLen, probeLen func(p int) int,
-	domainPerPart int,
-	sinks []sink,
-) error {
-	probeLens := make([]int, parts)
-	for p := 0; p < parts; p++ {
-		probeLens[p] = probeLen(p)
-	}
-	tasks := planSkewSplit(probeLens, order, o.Threads)
-
-	// Phase A: prebuild shared tables and concatenated probe sides for
-	// all split partitions, in parallel (one partition per worker).
-	splitParts := map[int]bool{}
-	for _, t := range tasks {
-		if t.split {
-			splitParts[t.part] = true
-		}
-	}
-	splitList := make([]int, 0, len(splitParts))
-	for p := range splitParts {
-		splitList = append(splitList, p)
-	}
-	shared := make(map[int]*sharedTable, len(splitList))
-	sharedProbe := make(map[int]tuple.Relation, len(splitList))
-	var mu sync.Mutex
-	op := j.opBytes()
-	err := pool.RunQueue("skew-prebuild", exec.NewRange(len(splitList)), func(w *exec.Worker, i int) {
-		p := splitList[i]
-		bl := buildLen(p)
-		st := j.buildSharedTable(bits, buildFrags(nil, p), bl, domainPerPart, o.Hash, o.Arena)
-		if o.Kind.padsBuild() {
-			// Marks are set atomically by the concurrent range probes;
-			// the unmatched post-pass runs once after the join phase.
-			st.asKindTable().EnableMatchTracking()
-		}
-		probe := concatFragments(pool.Arena(), probeFrags(nil, p))
-		// Build streams the build side into a fresh table; the probe
-		// side is copied once for range splitting.
-		w.AddBytes(int64(bl)*(tuple.Bytes+op) + 2*int64(len(probe))*tuple.Bytes)
-		w.AddAllocs(2) // shared table + probe copy
-		mu.Lock()
-		shared[p] = st
-		sharedProbe[p] = probe
-		mu.Unlock()
-	})
-	if err != nil {
-		// Partitions prebuilt before the cancellation hit still hold
-		// arena probe copies and table storage; release them or they leak.
-		for _, probe := range sharedProbe {
-			pool.Arena().PutTuples(probe)
-		}
-		for _, st := range shared {
-			st.free()
-		}
-		return err
-	}
-
-	// Phase B: run the task list; split tasks probe ranges against the
-	// shared tables, regular tasks run the usual per-partition join.
-	states := make([]*workerState, pool.Threads())
-	// Split tasks can land on a worker before (or without) its
-	// workerState existing, so they get their own batch plumbing.
-	splitStates := make([]batchState, pool.Threads())
-	err = pool.RunQueue("join", sched.NewLIFO(taskOrder(tasks)), func(w *exec.Worker, ti int) {
-		t := tasks[ti]
-		if t.split {
-			rng := sharedProbe[t.part][t.probeLo:t.probeHi]
-			switch {
-			case o.Kind != Inner:
-				kt := shared[t.part].asKindTable()
-				if o.ScalarKernels {
-					probeRunKind(o.Kind, kt, rng, bits, &sinks[w.ID])
-					w.AddBytes(int64(len(rng)) * (tuple.Bytes + op))
-				} else {
-					splitStates[w.ID].probeKindRun(w, o.Kind, kt, rng, bits, op, &sinks[w.ID])
-				}
-			case o.ScalarKernels:
-				j.probeShared(shared[t.part], &sinks[w.ID], bits, rng)
-				w.AddBytes(int64(len(rng)) * (tuple.Bytes + op))
-			default:
-				j.probeSharedBatch(w, shared[t.part], &splitStates[w.ID], &sinks[w.ID], bits, rng, op)
-			}
-			return
-		}
-		wk := states[w.ID]
-		if wk == nil {
-			wk = newWorkerState(j.table, o.Hash, domainPerPart, o.Arena)
-			states[w.ID] = wk
-			w.AddAllocs(1)
-		}
-		wk.buildScratch = buildFrags(wk.buildScratch[:0], t.part)
-		wk.probeScratch = probeFrags(wk.probeScratch[:0], t.part)
-		bl := buildLen(t.part)
-		if o.Kind != Inner {
-			j.joinTaskKind(w, wk, &sinks[w.ID], o.Kind, o.ScalarKernels, bits, wk.buildScratch, wk.probeScratch, bl, probeLens[t.part], op)
-		} else if o.ScalarKernels {
-			j.joinTask(wk, &sinks[w.ID], bits, wk.buildScratch, wk.probeScratch, bl)
-			w.AddBytes(int64(bl+probeLens[t.part]) * (tuple.Bytes + op))
-		} else {
-			j.joinTaskBatch(w, wk, &sinks[w.ID], bits, wk.buildScratch, wk.probeScratch, bl, probeLens[t.part], op)
-		}
-	})
-	if err == nil && o.Kind.padsBuild() {
-		// Unmatched post-pass over the shared tables, once per split
-		// partition, in partition order so the materialized output is
-		// deterministic. The per-task tables already padded theirs.
-		sort.Ints(splitList)
-		for _, p := range splitList {
-			emitUnmatchedBuild(nil, shared[p].asKindTable(), &sinks[0])
-		}
-	}
-	for _, probe := range sharedProbe {
-		pool.Arena().PutTuples(probe)
-	}
-	for _, st := range shared {
-		st.free()
-	}
-	freeWorkerStates(states)
-	return err
-}
-
-// taskOrder returns indices 0..n-1 (the tasks slice is already in
-// scheduling order).
-func taskOrder(tasks []skewTask) []int {
-	out := make([]int, len(tasks))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

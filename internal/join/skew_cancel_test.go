@@ -13,11 +13,11 @@ import (
 // fixed in the skew-aware join phase: prebuild tasks copy each split
 // partition's probe side into an arena buffer, and a cancellation that
 // lands mid-prebuild used to abandon the copies made so far. The test
-// drives runJoinPhaseSkewAware directly on a single-threaded pool so
+// drives the join phase directly on a single-threaded pool so
 // the cancellation point is exact: the second prebuild task cancels the
 // context after the first task's probe copy already lives in the arena.
 func TestSkewPrebuildCancelReleasesProbeCopies(t *testing.T) {
-	// Two partitions heavy enough to exceed planSkewSplit's threshold
+	// Two partitions heavy enough to exceed planTasks' split threshold
 	// (4x the average probe size) among fourteen singleton partitions:
 	// both become split tasks with prebuilt shared tables.
 	const parts = 16
@@ -43,31 +43,35 @@ func TestSkewPrebuildCancelReleasesProbeCopies(t *testing.T) {
 	pool := exec.NewPool(ctx, 1)
 	pool.SetArena(arena)
 
-	o := (&Options{Threads: 1}).normalize()
+	o := (&Options{Threads: 1, SplitSkewedTasks: true}).normalize()
 	probeCalls := 0
-	buildFrags := func(dst []tuple.Relation, p int) []tuple.Relation {
-		return append(dst, buildParts[p])
-	}
-	probeFrags := func(dst []tuple.Relation, p int) []tuple.Relation {
-		probeCalls++
-		if probeCalls == 2 {
-			// First prebuild task completed; its arena probe copy is in
-			// sharedProbe. Cancel before the queue's next pop.
-			cancel()
-		}
-		return append(dst, probeParts[p])
-	}
-	buildLen := func(p int) int { return len(buildParts[p]) }
-	probeLen := func(p int) int { return len(probeParts[p]) }
-
-	j := &radixJoin{name: "PRO", swwcb: true, table: chainedKind}
 	order := make([]int, parts)
-	for i := range order {
-		order[i] = i
+	probeLens := make([]int, parts)
+	for p := range order {
+		order[p] = p
+		probeLens[p] = len(probeParts[p])
 	}
-	sinks := make([]sink, 1)
-	err := j.runJoinPhaseSkewAware(pool, &o, 0, order, parts,
-		buildFrags, probeFrags, buildLen, probeLen, 1, sinks)
+	ph := &joinPhase{
+		o:             &o,
+		design:        DesignChained,
+		op:            tableOpBytes(DesignChained),
+		domainPerPart: 1,
+		tasks:         planTasks(probeLens, order, o.Threads, o.SplitSkewedTasks),
+		buildFrags: func(dst []tuple.Relation, p int) []tuple.Relation {
+			return append(dst, buildParts[p])
+		},
+		probeFrags: func(dst []tuple.Relation, p int) []tuple.Relation {
+			probeCalls++
+			if probeCalls == 2 {
+				// First prebuild task completed; its arena probe copy is
+				// in sharedProbe. Cancel before the queue's next pop.
+				cancel()
+			}
+			return append(dst, probeParts[p])
+		},
+		buildLen: func(p int) int { return len(buildParts[p]) },
+	}
+	err := ph.run(pool, make([]sink, 1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -82,14 +82,30 @@ func TableDesigns() []TableDesign {
 		DesignArray, DesignCHT, DesignSparse}
 }
 
-// globalTable is the table contract of the no-partitioning pipeline:
-// the kind probe paths (first-match lookups, match tracking, the
-// unmatched post-pass), the batched inner probe and the storage
-// footprint. All six designs implement it.
-type globalTable interface {
-	kindProbeTable
-	SizeBytes() int64
+// joinTable is the table contract of the probe half: scalar and
+// batched first-match lookups (which mark build entries once
+// EnableMatchTracking was called), the batched inner probe, the
+// unmatched post-pass and the storage footprint. All six designs
+// implement it.
+type joinTable interface {
+	Lookup(k tuple.Key) (tuple.Payload, bool)
+	LookupBatch(keys []tuple.Key, s *hashtable.BatchScratch, payloads []tuple.Payload, found []bool)
 	ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s *hashtable.BatchScratch, out *hashtable.MatchBatch)
+	EnableMatchTracking()
+	ForEachUnmatched(fn func(tuple.Key, tuple.Payload))
+	Len() int
+	SizeBytes() int64
+}
+
+// partTable is a joinTable the build half loads single-writer and a
+// worker reuses from one co-partition to the next: the chained, linear
+// and array designs of the radix joins.
+type partTable interface {
+	joinTable
+	Insert(tp tuple.Tuple)
+	BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *hashtable.BatchScratch)
+	Reset()
+	Free()
 }
 
 // BuiltTable is one ready build-side hash table whose lifetime is
@@ -101,7 +117,7 @@ type globalTable interface {
 // use-after-free the cache's refcount pinning exists to prevent.
 type BuiltTable struct {
 	design   TableDesign
-	table    globalTable
+	table    joinTable
 	free     func()
 	bytes    int64
 	buildLen int
@@ -137,7 +153,8 @@ func (bt *BuiltTable) Release() {
 	bt.free()
 }
 
-// tableOpBytes is the modeled per-probe traffic of each design (see
+// tableOpBytes is the modeled per-tuple table traffic of each design,
+// one insert or one probe, for both pipelines (see
 // internal/hashtable/bytes.go for the coefficients' rationale).
 func tableOpBytes(d TableDesign) int64 {
 	switch d {
@@ -209,14 +226,14 @@ func BuildTable(ctx context.Context, build tuple.Relation, design TableDesign, o
 //
 // On success the caller owns the table and must call free exactly
 // once; on error the storage has already been freed.
-func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *Options) (globalTable, func(), error) {
+func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *Options) (joinTable, func(), error) {
 	buildChunks := tuple.Chunks(len(build), o.Threads)
 	bstates := make([]batchState, o.Threads)
 	op := tableOpBytes(design)
 
 	// table and free are set by the design's constructor, which runs
 	// inside a phase; free stays nil if cancellation came first.
-	var table globalTable
+	var table joinTable
 	var free func()
 
 	// concurrentBuild drives the shared-global-table protocol (all
@@ -334,7 +351,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 // the builder's passes per region: claim every region's buckets (the
 // first claim allocates the table), then scatter every region into the
 // dense array. The returned free releases the table, also on error.
-func bulkloadCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (globalTable, func(), error) {
+func bulkloadCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (joinTable, func(), error) {
 	// Spread the hash over the 8n bitmap buckets: multiplying by the
 	// buckets-per-tuple factor maps a hash that is uniform over n table
 	// slots to one uniform over the bitmap, and keeps the identity hash
@@ -460,40 +477,19 @@ func ProbeTable(ctx context.Context, bt *BuiltTable, probe tuple.Relation, opts 
 	return res, nil
 }
 
-// probeGlobal is the probe half of every no-partitioning join: one
-// "probe" phase in which every worker probes its chunk of the probe
-// relation against ht with first-match lookups and emits into its sink
-// per Options.Kind, through the batch kernels or, under ScalarKernels,
-// tuple at a time. op is the design's modeled per-probe traffic; both
-// flavors charge the same bytes. The table is only read (match marks
-// aside, which are idempotent), so concurrent probeGlobal calls may
+// probeGlobal is the probe phase of every no-partitioning join: one
+// "probe" phase in which every worker runs the probe half over the
+// morsels of its chunk of the probe relation, keys unshifted. op is the
+// design's modeled per-probe traffic. Concurrent probeGlobal calls may
 // share one table.
-func probeGlobal(pool *exec.Pool, ht globalTable, probe tuple.Relation, op int64, o *Options, sinks []sink) error {
+func probeGlobal(pool *exec.Pool, ht joinTable, probe tuple.Relation, op int64, o *Options, sinks []sink) error {
 	probeChunks := tuple.Chunks(len(probe), o.Threads)
 	bstates := make([]batchState, o.Threads)
 	return pool.Run("probe", func(w *exec.Worker) {
-		s := &sinks[w.ID]
 		c := probeChunks[w.ID]
 		bs := &bstates[w.ID]
 		w.Morsels(c.Len(), func(begin, end int) {
-			run := probe[c.Begin+begin : c.Begin+end]
-			switch {
-			case !o.ScalarKernels && o.Kind == Inner:
-				bs.probeRun(w, ht, run, 0, op, s)
-				return
-			case !o.ScalarKernels:
-				bs.probeKindRun(w, o.Kind, ht, run, 0, op, s)
-				return
-			case o.Kind == Inner:
-				for _, tp := range run {
-					if p, ok := ht.Lookup(tp.Key); ok {
-						s.emit(p, tp.Payload)
-					}
-				}
-			default:
-				probeRunKind(o.Kind, ht, run, 0, s)
-			}
-			w.AddBytes(int64(end-begin) * (tuple.Bytes + op))
+			bs.probe(w, ht, bs.run(probe[c.Begin+begin:c.Begin+end]), 0, op, o, &sinks[w.ID])
 		})
 	})
 }

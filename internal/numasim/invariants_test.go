@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mmjoin/internal/sched"
+	"mmjoin/internal/exec"
 )
 
 // Model invariants of the fluid engine, checked over random task sets.
@@ -35,7 +35,7 @@ func TestInvariantTimelineContiguous(t *testing.T) {
 	f := func(seed uint32, workersRaw uint8) bool {
 		tasks := randomTasks(seed, 20)
 		workers := int(workersRaw%16) + 1
-		res, err := Simulate(testMachine(), tasks, sched.SequentialOrder(len(tasks)), workers)
+		res, err := Simulate(testMachine(), tasks, exec.SequentialOrder(len(tasks)), workers)
 		if err != nil {
 			return false
 		}
@@ -56,7 +56,7 @@ func TestInvariantTimelineContiguous(t *testing.T) {
 func TestInvariantNodeBandwidthNeverExceeded(t *testing.T) {
 	m := testMachine()
 	tasks := randomTasks(7, 100)
-	res, err := Simulate(m, tasks, sched.SequentialOrder(len(tasks)), 8)
+	res, err := Simulate(m, tasks, exec.SequentialOrder(len(tasks)), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestInvariantWorkConserved(t *testing.T) {
 	for _, task := range tasks {
 		want += task.TotalBytes()
 	}
-	res, err := Simulate(m, tasks, sched.SequentialOrder(len(tasks)), 4)
+	res, err := Simulate(m, tasks, exec.SequentialOrder(len(tasks)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestInvariantWorkConserved(t *testing.T) {
 func TestInvariantAllTasksComplete(t *testing.T) {
 	m := testMachine()
 	tasks := randomTasks(11, 64)
-	res, err := Simulate(m, tasks, sched.SequentialOrder(len(tasks)), 5)
+	res, err := Simulate(m, tasks, exec.SequentialOrder(len(tasks)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestInvariantMoreWorkersNeverSlower(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Segments: []Segment{{MemNode: i % 4, Bytes: 1000}}}
 	}
-	order := sched.SequentialOrder(len(tasks))
+	order := exec.SequentialOrder(len(tasks))
 	prev := math.Inf(1)
 	for _, workers := range []int{1, 2, 4, 8} {
 		res, err := Simulate(m, tasks, order, workers)
@@ -206,7 +206,7 @@ func TestSimulatePerNodeQueuesLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Simulate(m, tasks, sched.SequentialOrder(n), 32)
+	seq, err := Simulate(m, tasks, exec.SequentialOrder(n), 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"mmjoin/internal/datagen"
+	"mmjoin/internal/exec"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 )
 
 func testMachine() Machine {
@@ -225,8 +225,8 @@ func TestImprovedSchedulingBeatsSequential(t *testing.T) {
 	// node demand 128 GB/s against 28 GB/s of controller bandwidth.
 	m := PaperMachine()
 
-	seq := sched.SequentialOrder(len(tasks))
-	rr := sched.RoundRobinOrder(len(tasks), topo.Nodes, HomeNodeOfPartition(topo, prG))
+	seq := exec.SequentialOrder(len(tasks))
+	rr := exec.RoundRobinOrder(len(tasks), topo.Nodes, HomeNodeOfPartition(topo, prG))
 
 	resSeq, err := Simulate(m, tasks, seq, 32)
 	if err != nil {
@@ -268,11 +268,11 @@ func TestCPRLSchedulingInsensitive(t *testing.T) {
 	tasks := FromChunkedPartitions(topo, prC, psC)
 	m := PaperMachine()
 
-	seq, err := Simulate(m, tasks, sched.SequentialOrder(len(tasks)), 32)
+	seq, err := Simulate(m, tasks, exec.SequentialOrder(len(tasks)), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Simulate(m, tasks, sched.RoundRobinOrder(len(tasks), topo.Nodes, func(p int) int { return p % 4 }), 32)
+	rr, err := Simulate(m, tasks, exec.RoundRobinOrder(len(tasks), topo.Nodes, func(p int) int { return p % 4 }), 32)
 	if err != nil {
 		t.Fatal(err)
 	}

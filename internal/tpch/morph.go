@@ -1,11 +1,12 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/hashtable"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
 
@@ -57,11 +58,15 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 
 	accs := make([]q19Accumulator, threads)
 	indexes := make([][]joinIndexEntry, threads)
+	// One pool per query. It runs under context.Background, so its
+	// phases cannot be cancelled and their errors are always nil.
+	pool := exec.NewPool(context.Background(), threads)
 
 	start := time.Now()
 	lt := hashtable.NewLinearTable(p.NumTuples, nil)
 	buildChunks := tuple.Chunks(p.NumTuples, threads)
-	sched.RunWorkers(threads, func(w int) {
+	_ = pool.Run("build", func(wk *exec.Worker) {
+		w := wk.ID
 		c := buildChunks[w]
 		for _, tp := range p.PartKey[c.Begin:c.End] {
 			lt.InsertConcurrent(tp)
@@ -72,7 +77,8 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 	switch variant {
 	case MorphPrefiltered:
 		chunks := tuple.Chunks(len(prefiltered), threads)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("probe", func(wk *exec.Worker) {
+			w := wk.ID
 			acc := &accs[w]
 			c := chunks[w]
 			for _, tp := range prefiltered[c.Begin:c.End] {
@@ -83,7 +89,8 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 		})
 	case MorphDynamicFilter:
 		chunks := tuple.Chunks(l.NumTuples, threads)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("probe", func(wk *exec.Worker) {
+			w := wk.ID
 			acc := &accs[w]
 			c := chunks[w]
 			for i := c.Begin; i < c.End; i++ {
@@ -97,7 +104,8 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 		})
 	case MorphJoinIndex, MorphIndexThenFinish:
 		chunks := tuple.Chunks(l.NumTuples, threads)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("index", func(wk *exec.Worker) {
+			w := wk.ID
 			acc := &accs[w]
 			c := chunks[w]
 			for i := c.Begin; i < c.End; i++ {
@@ -113,7 +121,8 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 		if variant == MorphIndexThenFinish {
 			// Second pass: post-filter + aggregate from the index, in
 			// the same (row id) order the pipeline would have seen.
-			sched.RunWorkers(threads, func(w int) {
+			_ = pool.Run("finish", func(wk *exec.Worker) {
+				w := wk.ID
 				acc := &accs[w]
 				for _, e := range indexes[w] {
 					if PostJoin(l, p, int(e.RowL), int(e.RowP)) {
@@ -125,7 +134,8 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 		}
 	case MorphPipelined:
 		chunks := tuple.Chunks(l.NumTuples, threads)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("probe", func(wk *exec.Worker) {
+			w := wk.ID
 			acc := &accs[w]
 			c := chunks[w]
 			for i := c.Begin; i < c.End; i++ {

@@ -1,12 +1,13 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
 
@@ -75,6 +76,9 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 		res.Algorithm = "NOPA"
 	}
 	accs := make([]q19Accumulator, threads)
+	// One pool per query. It runs under context.Background, so its
+	// phases cannot be cancelled and their errors are always nil.
+	pool := exec.NewPool(context.Background(), threads)
 
 	start := time.Now()
 	var at *hashtable.ArrayTable
@@ -82,7 +86,8 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 	buildChunks := tuple.Chunks(p.NumTuples, threads)
 	if array {
 		at = hashtable.NewArrayTable(0, p.NumTuples)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("build", func(wk *exec.Worker) {
+			w := wk.ID
 			c := buildChunks[w]
 			for _, tp := range p.PartKey[c.Begin:c.End] {
 				at.InsertConcurrent(tp)
@@ -91,7 +96,8 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 		at.FinishConcurrentBuild()
 	} else {
 		lt = hashtable.NewLinearTable(p.NumTuples, nil)
-		sched.RunWorkers(threads, func(w int) {
+		_ = pool.Run("build", func(wk *exec.Worker) {
+			w := wk.ID
 			c := buildChunks[w]
 			for _, tp := range p.PartKey[c.Begin:c.End] {
 				lt.InsertConcurrent(tp)
@@ -101,7 +107,8 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 	buildDone := time.Now()
 
 	probeChunks := tuple.Chunks(l.NumTuples, threads)
-	sched.RunWorkers(threads, func(w int) {
+	_ = pool.Run("probe", func(wk *exec.Worker) {
+		w := wk.ID
 		acc := &accs[w]
 		c := probeChunks[w]
 		for i := c.Begin; i < c.End; i++ {
@@ -148,6 +155,9 @@ func q19Chunked(tb *Tables, threads int, array bool) (*QueryResult, error) {
 		res.Algorithm = "CPRA"
 	}
 	accs := make([]q19Accumulator, threads)
+	// One pool per query. It runs under context.Background, so its
+	// phases cannot be cancelled and their errors are always nil.
+	pool := exec.NewPool(context.Background(), threads)
 
 	start := time.Now()
 	filtered := FilterLineitem(l)
@@ -156,9 +166,10 @@ func q19Chunked(tb *Tables, threads int, array bool) (*QueryResult, error) {
 	ps := radix.PartitionChunked(filtered, bits, threads, true)
 	partitionDone := time.Now()
 
-	queue := sched.NewLIFO(sched.SequentialOrder(1 << bits))
+	queue := exec.NewLIFO(exec.SequentialOrder(1 << bits))
 	domainPerPart := (p.NumTuples >> bits) + 1
-	sched.RunWorkers(threads, func(w int) {
+	_ = pool.Run("join", func(wk *exec.Worker) {
+		w := wk.ID
 		acc := &accs[w]
 		var at *hashtable.ArrayTable
 		var lt *hashtable.LinearTable

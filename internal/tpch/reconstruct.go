@@ -1,12 +1,13 @@
 package tpch
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"mmjoin/internal/exec"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
-	"mmjoin/internal/sched"
 	"mmjoin/internal/tuple"
 )
 
@@ -42,6 +43,9 @@ func RunQ19Compacted(tb *Tables, algo string, threads int) (*QueryResult, error)
 	l, p := tb.Lineitem, tb.Part
 	res := &QueryResult{Algorithm: algo + "+compact"}
 	accs := make([]q19Accumulator, threads)
+	// One pool per query. It runs under context.Background, so its
+	// phases cannot be cancelled and their errors are always nil.
+	pool := exec.NewPool(context.Background(), threads)
 
 	start := time.Now()
 	// Filter + project in one pass: the filtered relation's payload is
@@ -66,9 +70,10 @@ func RunQ19Compacted(tb *Tables, algo string, threads int) (*QueryResult, error)
 	ps := radix.PartitionChunked(filtered, bits, threads, true)
 	partitionDone := time.Now()
 
-	queue := sched.NewLIFO(sched.SequentialOrder(1 << bits))
+	queue := exec.NewLIFO(exec.SequentialOrder(1 << bits))
 	domainPerPart := (p.NumTuples >> bits) + 1
-	sched.RunWorkers(threads, func(w int) {
+	_ = pool.Run("join", func(wk *exec.Worker) {
+		w := wk.ID
 		acc := &accs[w]
 		var at *hashtable.ArrayTable
 		var lt *hashtable.LinearTable

@@ -8,9 +8,9 @@
 //
 //	internal/join       the thirteen algorithms (the core contribution)
 //	internal/exec       shared execution layer: cancellable morsel pool,
-//	                    buffer arena, per-phase stats and span tracing
+//	                    task orders (LIFO, NUMA round-robin), buffer
+//	                    arena, per-phase stats and span tracing
 //	internal/trace      span recorder, phase metrics, Perfetto export
-//	internal/sched      task-order policies (LIFO, NUMA round-robin)
 //	internal/hashtable  chained / linear-probing / CHT / array tables
 //	internal/radix      parallel radix partitioning (global, two-pass, chunked)
 //	internal/mway       sort-merge machinery
