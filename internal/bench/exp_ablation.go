@@ -122,7 +122,10 @@ func runAblHash(c Config) (*Report, error) {
 		Columns:          []string{"hash", "NOP [M/s]", "PRLiS [M/s]"},
 	}
 	for _, hname := range hashes {
-		h := hashfn.ByName(hname)
+		h, err := hashfn.ByName(hname)
+		if err != nil {
+			return nil, err
+		}
 		nop, err := runJoin(c, "NOP", w, join.Options{Threads: c.Threads, Hash: h})
 		if err != nil {
 			return nil, err
@@ -353,7 +356,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.NewChainedTable(n, nil)
+		tbl := hashtable.NewChainedTable(n, hashfn.Identity, nil)
 		for _, tp := range w.Build {
 			tbl.Insert(tp)
 		}
@@ -373,7 +376,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.NewLinearTable(n, nil)
+		tbl := hashtable.NewLinearTable(n, 0, hashfn.Identity, nil)
 		for _, tp := range w.Build {
 			tbl.Insert(tp)
 		}
@@ -387,7 +390,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.BuildCHT(w.Build, nil)
+		tbl := hashtable.BuildCHT(w.Build, hashfn.Identity)
 		build := time.Since(start)
 		start = time.Now()
 		for _, tp := range w.Probe {
@@ -398,7 +401,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.NewArrayTable(0, w.Domain)
+		tbl := hashtable.NewArrayTable(0, w.Domain, nil)
 		for _, tp := range w.Build {
 			tbl.Insert(tp)
 		}
@@ -412,7 +415,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.NewSparseTable(n, nil)
+		tbl := hashtable.NewSparseTable(n, hashfn.Identity)
 		for _, tp := range w.Build {
 			tbl.Insert(tp)
 		}
@@ -426,7 +429,7 @@ func runAblTables(c Config) (*Report, error) {
 	runtime.GC()
 	{
 		start := time.Now()
-		tbl := hashtable.NewRobinHoodTable(n, 0, nil)
+		tbl := hashtable.NewRobinHoodTable(n, 0, hashfn.Identity, nil)
 		for _, tp := range w.Build {
 			tbl.Insert(tp)
 		}

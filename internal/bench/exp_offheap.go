@@ -112,7 +112,7 @@ func measureOffHeapMode(c Config, n int, off bool) (*offHeapProbe, error) {
 	if err != nil {
 		return nil, err
 	}
-	ht := hashtable.NewChainedTableArena(n, hashfn.Murmur, arena)
+	ht := hashtable.NewChainedTable(n, hashfn.Murmur, arena)
 	var scratch hashtable.BatchScratch
 	keys := make([]uint32, 0, hashtable.BatchSize)
 	pays := make([]uint32, 0, hashtable.BatchSize)

@@ -32,7 +32,7 @@ func TestOffHeapHeapFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ht := hashtable.NewChainedTableArena(n, hashfn.Murmur, arena)
+		ht := hashtable.NewChainedTable(n, hashfn.Murmur, arena)
 		for _, tp := range w.Build {
 			ht.Insert(tp)
 		}

@@ -200,10 +200,10 @@ func microbenchSize(cfg MicrobenchConfig, lg int) ([]MicrobenchRecord, error) {
 	if cfg.OffHeap {
 		arena = exec.NewArenaOffHeap()
 	}
-	ct := hashtable.NewChainedTableArena(n, hashfn.Murmur, arena)
-	lt := hashtable.NewLinearTableArena(n, hashfn.Murmur, arena)
-	rh := hashtable.NewRobinHoodTableArena(n, 0, hashfn.Murmur, arena)
-	at := hashtable.NewArrayTableArena(0, n, arena)
+	ct := hashtable.NewChainedTable(n, hashfn.Murmur, arena)
+	lt := hashtable.NewLinearTable(n, 0, hashfn.Murmur, arena)
+	rh := hashtable.NewRobinHoodTable(n, 0, hashfn.Murmur, arena)
+	at := hashtable.NewArrayTable(0, n, arena)
 	st := hashtable.NewSparseTable(n, hashfn.Murmur)
 	for _, tp := range tuples {
 		ct.Insert(tp)
@@ -212,7 +212,7 @@ func microbenchSize(cfg MicrobenchConfig, lg int) ([]MicrobenchRecord, error) {
 		at.Insert(tp)
 		st.Insert(tp)
 	}
-	cb := hashtable.NewCHTBuilderArena(n, 1, hashfn.Murmur, arena)
+	cb := hashtable.NewCHTBuilder(n, 1, hashfn.Murmur, arena)
 	cb.LoadRegion(0, tuples)
 	cht := cb.Finalize()
 	defer func() {
@@ -310,7 +310,7 @@ func microbenchSize(cfg MicrobenchConfig, lg int) ([]MicrobenchRecord, error) {
 	// region (claim, then scatter) into a fresh table.
 	for _, d := range dists {
 		cells = append(cells, &microCell{table: "cht", op: "build", kernel: "batch", dist: d, run: func() {
-			cb := hashtable.NewCHTBuilderArena(n, 1, hashfn.Murmur, arena)
+			cb := hashtable.NewCHTBuilder(n, 1, hashfn.Murmur, arena)
 			cb.LoadRegion(0, tuples)
 			cb.Finalize().Free()
 		}})

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/hashfn"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
 	"mmjoin/internal/tuple"
@@ -100,7 +101,7 @@ func HashJoin(build *KeyColumn, buildSel SelectionVector, probe *KeyColumn, prob
 				continue
 			}
 			if lt == nil || n*2 > lt.Slots() {
-				lt = hashtable.NewLinearTable(n, nil)
+				lt = hashtable.NewLinearTable(n, 0, hashfn.Identity, nil)
 			} else {
 				lt.Reset()
 			}

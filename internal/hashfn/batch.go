@@ -1,21 +1,29 @@
 package hashfn
 
-import (
-	"reflect"
+import "mmjoin/internal/tuple"
 
-	"mmjoin/internal/tuple"
-)
-
-// BatchFunc hashes a batch of keys at once: dst[i] receives the hash of
-// keys[i]. The batch variants below are one specialized loop per hash
-// function — no per-key indirect call through a Func value — so the
-// compiler keeps the whole batch in one tight loop with the bounds
-// checks hoisted. len(dst) must be >= len(keys).
-type BatchFunc func(dst []uint64, keys []tuple.Key)
+// Batch hashes a batch of keys at once: dst[i] receives h.Scalar(keys[i]).
+// It switches once per batch onto one specialized loop per hash — no
+// per-key call — so the compiler keeps the whole batch in one tight
+// loop with the bounds checks hoisted. len(dst) must be >= len(keys).
+func (h Hash) Batch(dst []uint64, keys []tuple.Key) {
+	switch h {
+	case Identity:
+		identityBatch(dst, keys)
+	case Multiplicative:
+		multiplicativeBatch(dst, keys)
+	case Murmur:
+		murmurBatch(dst, keys)
+	case CRC:
+		crcBatch(dst, keys)
+	default:
+		panic("hashfn: unknown Hash")
+	}
+}
 
 // checkDst makes the len(dst) >= len(keys) contract visible to the
 // compiler's prove pass: after the guard, the dst[:len(keys)] reslice
-// in every batch variant is provably in bounds.
+// in every batch loop is provably in bounds.
 //
 //mmjoin:hotpath
 //mmjoin:inline
@@ -26,13 +34,11 @@ func checkDst(have, need int) {
 	}
 }
 
-// IdentityBatch is the batch form of Identity.
-//
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
 //mmjoin:inline
-func IdentityBatch(dst []uint64, keys []tuple.Key) {
+func identityBatch(dst []uint64, keys []tuple.Key) {
 	checkDst(len(dst), len(keys))
 	dst = dst[:len(keys)]
 	for i, k := range keys {
@@ -40,103 +46,37 @@ func IdentityBatch(dst []uint64, keys []tuple.Key) {
 	}
 }
 
-// MultiplicativeBatch is the batch form of Multiplicative.
-//
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
 //mmjoin:inline
-func MultiplicativeBatch(dst []uint64, keys []tuple.Key) {
+func multiplicativeBatch(dst []uint64, keys []tuple.Key) {
 	checkDst(len(dst), len(keys))
 	dst = dst[:len(keys)]
 	for i, k := range keys {
-		h := uint64(k) * 0x9e3779b97f4a7c15
-		dst[i] = h ^ (h >> 32)
+		dst[i] = multiplicative(k)
 	}
 }
 
-// MurmurBatch is the batch form of Murmur.
-//
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
 //mmjoin:inline
-func MurmurBatch(dst []uint64, keys []tuple.Key) {
+func murmurBatch(dst []uint64, keys []tuple.Key) {
 	checkDst(len(dst), len(keys))
 	dst = dst[:len(keys)]
 	for i, k := range keys {
-		h := uint64(k)
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		h *= 0xc4ceb9fe1a85ec53
-		h ^= h >> 33
-		dst[i] = h
+		dst[i] = murmur(k)
 	}
 }
 
-// CRCBatch is the batch form of CRC, with the four byte steps unrolled.
-//
 //mmjoin:hotpath
 //mmjoin:noescape
 //mmjoin:bce
-func CRCBatch(dst []uint64, keys []tuple.Key) {
+func crcBatch(dst []uint64, keys []tuple.Key) {
 	checkDst(len(dst), len(keys))
 	dst = dst[:len(keys)]
 	for i, k := range keys {
-		crc := ^uint32(0)
-		crc = crcTable[byte(crc)^byte(k)] ^ (crc >> 8)
-		crc = crcTable[byte(crc)^byte(k>>8)] ^ (crc >> 8)
-		crc = crcTable[byte(crc)^byte(k>>16)] ^ (crc >> 8)
-		crc = crcTable[byte(crc)^byte(k>>24)] ^ (crc >> 8)
-		dst[i] = uint64(^crc)
+		dst[i] = crc(k)
 	}
-}
-
-// BatchFor resolves the specialized batch variant of a scalar hash
-// function. The four named functions map to their hand-specialized
-// loops; any other Func falls back to a generic loop that still hoists
-// the hashing out of the probe walk (one indirect call per key, but all
-// hashes are computed up front). A nil Func resolves to IdentityBatch,
-// mirroring the table constructors' nil default.
-//
-// The resolution happens once per table construction (cold), never in a
-// kernel.
-func BatchFor(f Func) BatchFunc {
-	if f == nil {
-		return IdentityBatch
-	}
-	p := reflect.ValueOf(f).Pointer()
-	switch p {
-	case reflect.ValueOf(Identity).Pointer():
-		return IdentityBatch
-	case reflect.ValueOf(Multiplicative).Pointer():
-		return MultiplicativeBatch
-	case reflect.ValueOf(Murmur).Pointer():
-		return MurmurBatch
-	case reflect.ValueOf(CRC).Pointer():
-		return CRCBatch
-	}
-	return func(dst []uint64, keys []tuple.Key) {
-		dst = dst[:len(keys)]
-		for i, k := range keys {
-			dst[i] = f(k)
-		}
-	}
-}
-
-// BatchByName resolves a batch hash function by the same names ByName
-// accepts. Unknown names return nil.
-func BatchByName(name string) BatchFunc {
-	switch name {
-	case "identity", "":
-		return IdentityBatch
-	case "multiplicative":
-		return MultiplicativeBatch
-	case "murmur":
-		return MurmurBatch
-	case "crc":
-		return CRCBatch
-	}
-	return nil
 }

@@ -1,79 +1,44 @@
 package hashfn
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mmjoin/internal/tuple"
 )
 
-// TestBatchMatchesScalar checks every specialized batch loop against its
-// scalar function on a key set covering zero, small, dense and
-// bit-pattern-heavy keys.
+var allHashes = []Hash{Identity, Multiplicative, Murmur, CRC}
+
+// TestBatchMatchesScalar checks every specialized batch loop against
+// Scalar on edge keys and on random keys.
 func TestBatchMatchesScalar(t *testing.T) {
-	keys := []tuple.Key{0, 1, 2, 3, 7, 8, 255, 256, 0xdeadbeef, 0xffffffff, 12345, 1 << 20}
-	cases := []struct {
-		name   string
-		scalar Func
-		batch  BatchFunc
-	}{
-		{"identity", Identity, IdentityBatch},
-		{"multiplicative", Multiplicative, MultiplicativeBatch},
-		{"murmur", Murmur, MurmurBatch},
-		{"crc", CRC, CRCBatch},
+	keys := []tuple.Key{0, 1, 2, 3, 7, 8, 255, 256, 1 << 20, 1 << 31, math.MaxUint32 - 1, 0xdeadbeef, math.MaxUint32}
+	rng := rand.New(rand.NewSource(1))
+	for range 1000 {
+		keys = append(keys, tuple.Key(rng.Uint32()))
 	}
-	for _, c := range cases {
+	for _, h := range allHashes {
 		dst := make([]uint64, len(keys))
-		c.batch(dst, keys)
+		h.Batch(dst, keys)
 		for i, k := range keys {
-			if want := c.scalar(k); dst[i] != want {
-				t.Errorf("%s: key %d: batch %#x, scalar %#x", c.name, k, dst[i], want)
+			if want := h.Scalar(k); dst[i] != want {
+				t.Errorf("%v: key %d: batch %#x, scalar %#x", h, k, dst[i], want)
 			}
 		}
 	}
 }
 
-// TestBatchFor checks the scalar->batch resolution: named functions get
-// their specialized loops, arbitrary functions get a working fallback,
-// and nil defaults to identity like the table constructors.
-func TestBatchFor(t *testing.T) {
-	keys := []tuple.Key{3, 99, 0xcafe}
-	for _, name := range []string{"identity", "multiplicative", "murmur", "crc"} {
-		f := ByName(name)
-		b := BatchFor(f)
-		dst := make([]uint64, len(keys))
-		b(dst, keys)
-		for i, k := range keys {
-			if dst[i] != f(k) {
-				t.Errorf("BatchFor(%s): key %d: got %#x, want %#x", name, k, dst[i], f(k))
-			}
-		}
-	}
-	custom := func(k tuple.Key) uint64 { return uint64(k) * 31 }
-	b := BatchFor(custom)
-	dst := make([]uint64, len(keys))
-	b(dst, keys)
-	for i, k := range keys {
-		if dst[i] != uint64(k)*31 {
-			t.Errorf("BatchFor(custom): key %d: got %d, want %d", k, dst[i], uint64(k)*31)
-		}
-	}
-	nilBatch := BatchFor(nil)
-	nilBatch(dst, keys)
-	for i, k := range keys {
-		if dst[i] != uint64(k) {
-			t.Errorf("BatchFor(nil): key %d: got %d, want identity %d", k, dst[i], uint64(k))
-		}
-	}
-}
-
-// TestBatchByName mirrors ByName's naming contract.
-func TestBatchByName(t *testing.T) {
-	for _, name := range []string{"", "identity", "multiplicative", "murmur", "crc"} {
-		if BatchByName(name) == nil {
-			t.Errorf("BatchByName(%q) = nil", name)
-		}
-	}
-	if BatchByName("no-such-hash") != nil {
-		t.Error("BatchByName accepted an unknown name")
+// TestBatchShortDstPanics checks the len(dst) >= len(keys) contract.
+func TestBatchShortDstPanics(t *testing.T) {
+	for _, h := range allHashes {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: short dst did not panic", h)
+				}
+			}()
+			h.Batch(make([]uint64, 1), []tuple.Key{1, 2})
+		}()
 	}
 }

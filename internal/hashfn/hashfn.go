@@ -6,30 +6,93 @@
 // for the hash-function ablation and for non-dense domains.
 package hashfn
 
-import "mmjoin/internal/tuple"
+import (
+	"fmt"
 
-// Func maps a join key to an unbounded 64-bit hash. The table
-// implementations reduce it with a mask or modulo.
-type Func func(tuple.Key) uint64
+	"mmjoin/internal/tuple"
+)
 
-// Identity returns the key unchanged: the paper's default. With dense
-// keys and power-of-two table sizes this gives perfectly uniform,
-// collision-free placement.
-func Identity(k tuple.Key) uint64 { return uint64(k) }
+// Hash names one of the four hash functions. It is a plain value, so a
+// table stores it by value and its kernels call it directly: Scalar
+// inlines (the identity case costs no call at all) and Batch switches
+// once per batch onto a specialized loop. The zero value is Identity,
+// the paper's default. Every hash maps a join key to an unbounded
+// 64-bit value; the tables reduce it with a mask.
+type Hash uint8
 
-// Multiplicative is Knuth-style multiplicative hashing with the golden
-// ratio of 2^64. Multiplicative hashing concentrates its quality in the
-// high bits, while the table implementations mask low bits, so the high
-// half is folded down.
-func Multiplicative(k tuple.Key) uint64 {
+const (
+	// Identity returns the key unchanged. With dense keys and
+	// power-of-two table sizes this gives perfectly uniform,
+	// collision-free placement.
+	Identity Hash = iota
+	// Multiplicative is Knuth-style multiplicative hashing with the
+	// golden ratio of 2^64. Its quality sits in the high bits while the
+	// tables mask low bits, so the high half is folded down.
+	Multiplicative
+	// Murmur applies the 64-bit Murmur3 finalizer, a strong scrambler
+	// with full avalanche, comparable to the Murmur variant evaluated
+	// by Lang et al.
+	Murmur
+	// CRC mimics the CRC32-based hashing evaluated by Lang et al. using
+	// a software Castagnoli reduction over the four key bytes.
+	CRC
+)
+
+// names are the configuration names ByName accepts, indexed by Hash.
+var names = [...]string{Identity: "identity", Multiplicative: "multiplicative", Murmur: "murmur", CRC: "crc"}
+
+// String returns the name ByName resolves back to h.
+func (h Hash) String() string {
+	if int(h) < len(names) {
+		return names[h]
+	}
+	return fmt.Sprintf("Hash(%d)", uint8(h))
+}
+
+// ByName resolves a hash by the names used in experiment
+// configurations; the empty name is the default, Identity.
+func ByName(name string) (Hash, error) {
+	if name == "" {
+		return Identity, nil
+	}
+	for h, n := range names {
+		if n == name {
+			return Hash(h), nil
+		}
+	}
+	return Identity, fmt.Errorf("hashfn: unknown hash %q", name)
+}
+
+// Scalar hashes one key.
+//
+//mmjoin:hotpath
+//mmjoin:inline
+func (h Hash) Scalar(k tuple.Key) uint64 {
+	if h == Identity {
+		return uint64(k)
+	}
+	return h.scramble(k)
+}
+
+// scramble is Scalar's out-of-line half for the three scramblers.
+func (h Hash) scramble(k tuple.Key) uint64 {
+	switch h {
+	case Multiplicative:
+		return multiplicative(k)
+	case Murmur:
+		return murmur(k)
+	case CRC:
+		return crc(k)
+	}
+	panic("hashfn: unknown Hash")
+}
+
+func multiplicative(k tuple.Key) uint64 {
 	h := uint64(k) * 0x9e3779b97f4a7c15
 	return h ^ (h >> 32)
 }
 
-// Murmur applies the 64-bit Murmur3 finalizer, a strong scrambler with
-// full avalanche, comparable to the Murmur variant evaluated by
-// Lang et al.
-func Murmur(k tuple.Key) uint64 {
+func murmur(k tuple.Key) uint64 {
 	h := uint64(k)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -39,14 +102,15 @@ func Murmur(k tuple.Key) uint64 {
 	return h
 }
 
-// CRC mimics the CRC32-based hashing evaluated by Lang et al. using a
-// software Castagnoli reduction over the four key bytes.
-func CRC(k tuple.Key) uint64 {
-	crc := ^uint32(0)
-	for i := 0; i < 4; i++ {
-		crc = crcTable[byte(crc)^byte(k>>(8*i))] ^ (crc >> 8)
-	}
-	return uint64(^crc)
+// crc is CRC32-C over the four little-endian key bytes, with the four
+// byte steps unrolled.
+func crc(k tuple.Key) uint64 {
+	c := ^uint32(0)
+	c = crcTable[byte(c)^byte(k)] ^ (c >> 8)
+	c = crcTable[byte(c)^byte(k>>8)] ^ (c >> 8)
+	c = crcTable[byte(c)^byte(k>>16)] ^ (c >> 8)
+	c = crcTable[byte(c)^byte(k>>24)] ^ (c >> 8)
+	return uint64(^c)
 }
 
 // crcTable is the byte-wise lookup table for the Castagnoli polynomial
@@ -67,26 +131,3 @@ var crcTable = func() [256]uint32 {
 	}
 	return t
 }()
-
-// ByName resolves a hash function by the names used in experiment
-// configurations. Unknown names return nil.
-func ByName(name string) Func {
-	switch name {
-	case "identity", "":
-		return Identity
-	case "multiplicative":
-		return Multiplicative
-	case "murmur":
-		return Murmur
-	case "crc":
-		return CRC
-	}
-	return nil
-}
-
-// RadixBits extracts b radix bits from a key for partitioning, using the
-// lowest bits as in the radix-join implementations of Balkesen et al.
-// With dense keys the low bits split the domain evenly.
-func RadixBits(k tuple.Key, b uint) uint32 {
-	return uint32(k) & ((1 << b) - 1)
-}

@@ -9,24 +9,24 @@ import (
 )
 
 func TestIdentity(t *testing.T) {
-	if Identity(12345) != 12345 {
+	if Identity.Scalar(12345) != 12345 {
 		t.Fatal("identity changed the key")
 	}
 }
 
 func TestMultiplicativeDeterministicAndSpreads(t *testing.T) {
-	if Multiplicative(1) == Multiplicative(2) {
+	if Multiplicative.Scalar(1) == Multiplicative.Scalar(2) {
 		t.Fatal("collision on adjacent keys")
 	}
-	if Multiplicative(7) != Multiplicative(7) {
+	if Multiplicative.Scalar(7) != Multiplicative.Scalar(7) {
 		t.Fatal("not deterministic")
 	}
 }
 
 func TestMurmurAvalanche(t *testing.T) {
 	// Flipping one input bit should flip roughly half the output bits.
-	base := Murmur(0x12345678)
-	flipped := Murmur(0x12345679)
+	base := Murmur.Scalar(0x12345678)
+	flipped := Murmur.Scalar(0x12345679)
 	diff := base ^ flipped
 	pop := 0
 	for diff != 0 {
@@ -46,7 +46,7 @@ func TestCRCMatchesStdlib(t *testing.T) {
 	for _, k := range keys {
 		b := []byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)}
 		want := uint64(crc32.Checksum(b, tab))
-		if got := CRC(k); got != want {
+		if got := CRC.Scalar(k); got != want {
 			t.Fatalf("CRC(%#x) = %#x, want %#x", k, got, want)
 		}
 	}
@@ -56,47 +56,27 @@ func TestCRCPropertyMatchesStdlib(t *testing.T) {
 	tab := crc32.MakeTable(crc32.Castagnoli)
 	f := func(k uint32) bool {
 		b := []byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)}
-		return CRC(k) == uint64(crc32.Checksum(b, tab))
+		return CRC.Scalar(k) == uint64(crc32.Checksum(b, tab))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestByName round-trips every hash through its name and rejects an
+// unknown name instead of defaulting it.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"identity", "", "multiplicative", "murmur", "crc"} {
-		if ByName(name) == nil {
-			t.Fatalf("ByName(%q) = nil", name)
+	for _, h := range allHashes {
+		got, err := ByName(h.String())
+		if err != nil || got != h {
+			t.Fatalf("ByName(%q) = %v, %v; want %v", h.String(), got, err, h)
 		}
 	}
-	if ByName("nope") != nil {
+	if h, err := ByName(""); err != nil || h != Identity {
+		t.Fatalf("ByName(\"\") = %v, %v; want identity", h, err)
+	}
+	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown name resolved")
-	}
-}
-
-func TestRadixBits(t *testing.T) {
-	if got := RadixBits(0b101101, 3); got != 0b101 {
-		t.Fatalf("RadixBits = %b", got)
-	}
-	if got := RadixBits(0xffffffff, 14); got != (1<<14)-1 {
-		t.Fatalf("RadixBits 14 = %d", got)
-	}
-	if got := RadixBits(123, 0); got != 0 {
-		t.Fatalf("RadixBits 0 = %d", got)
-	}
-}
-
-func TestRadixBitsDensePartitioningIsBalanced(t *testing.T) {
-	// Dense keys 0..2^16 split over 2^4 partitions must be perfectly
-	// balanced — this is why the identity hash works in the paper.
-	counts := make([]int, 16)
-	for k := 0; k < 1<<16; k++ {
-		counts[RadixBits(tuple.Key(k), 4)]++
-	}
-	for p, c := range counts {
-		if c != 1<<12 {
-			t.Fatalf("partition %d got %d keys, want %d", p, c, 1<<12)
-		}
 	}
 }
 
@@ -104,17 +84,14 @@ func TestScramblersSpreadLowBits(t *testing.T) {
 	// Keys that collide in their low bits must separate after Murmur /
 	// Multiplicative — the property that matters for radix partitioning
 	// of sparse domains.
-	for _, fn := range []struct {
-		name string
-		f    Func
-	}{{"murmur", Murmur}, {"multiplicative", Multiplicative}} {
+	for _, h := range []Hash{Murmur, Multiplicative} {
 		buckets := make(map[uint64]int)
 		for i := 0; i < 1024; i++ {
 			k := tuple.Key(i << 10) // all zero in the low 10 bits
-			buckets[fn.f(k)&1023]++
+			buckets[h.Scalar(k)&1023]++
 		}
 		if len(buckets) < 256 {
-			t.Fatalf("%s left %d/1024 low-bit buckets used", fn.name, len(buckets))
+			t.Fatalf("%s left %d/1024 low-bit buckets used", h, len(buckets))
 		}
 	}
 }

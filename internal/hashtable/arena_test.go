@@ -20,11 +20,11 @@ func TestArenaBackedTablesRoundTrip(t *testing.T) {
 	}
 	a := exec.NewArena()
 
-	ct := NewChainedTableArena(n/8, hashfn.Murmur, a) // undersized: exercises overflow realloc
-	lt := NewLinearTableArena(n, hashfn.Murmur, a)
-	rh := NewRobinHoodTableArena(n, 0, hashfn.Murmur, a)
-	at := NewArrayTableArena(0, n, a)
-	cb := NewCHTBuilderArena(n, 1, hashfn.Murmur, a)
+	ct := NewChainedTable(n/8, hashfn.Murmur, a) // undersized: exercises overflow realloc
+	lt := NewLinearTable(n, 0, hashfn.Murmur, a)
+	rh := NewRobinHoodTable(n, 0, hashfn.Murmur, a)
+	at := NewArrayTable(0, n, a)
+	cb := NewCHTBuilder(n, 1, hashfn.Murmur, a)
 	for _, tp := range tuples {
 		ct.Insert(tp)
 		lt.Insert(tp)
@@ -68,7 +68,7 @@ func TestArenaBackedTablesRoundTrip(t *testing.T) {
 func TestArenaBackedChainedConcurrent(t *testing.T) {
 	const n = 4096
 	a := exec.NewArena()
-	ct := NewChainedTableArena(n, hashfn.Identity, a)
+	ct := NewChainedTable(n, hashfn.Identity, a)
 	ct.PrepareConcurrent()
 	for i := 0; i < n; i++ {
 		ct.InsertConcurrent(tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i)})
@@ -102,8 +102,8 @@ func TestPrefetchDistSettings(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		keys = append(keys, tuple.Key(i*2+1)) // misses
 	}
-	ct := NewChainedTable(n/4, hashfn.Murmur)
-	lt := NewLinearTable(n, hashfn.Murmur)
+	ct := NewChainedTable(n/4, hashfn.Murmur, nil)
+	lt := NewLinearTable(n, 0, hashfn.Murmur, nil)
 	for _, tp := range tuples {
 		ct.Insert(tp)
 		lt.Insert(tp)

@@ -13,8 +13,8 @@ import (
 // tuples per call, plus ProbeJoinBatch, which is LookupBatch followed by
 // the shared compactMatches (ArrayTable alone keeps a fused kernel: its
 // lookup is one load, so the extra pass would be most of its cost).
-// Hashes for the whole batch are computed up front through the table's
-// resolved hashfn.BatchFunc (no per-key indirect call), and the probe
+// Hashes for the whole batch are computed up front by the table's
+// hashfn.Hash.Batch (one specialized loop, no per-key call), and the probe
 // kernels walk their buckets in an AMAC-style interleaved state machine
 // (Kocberber et al., VLDB 2015): a gather pass issues one independent
 // memory access per lane back-to-back, so an out-of-order core overlaps
@@ -70,7 +70,7 @@ type BatchScratch struct {
 //
 //mmjoin:hotpath
 //go:noinline
-func (s *BatchScratch) hashBuf() *[BatchSize]uint64 {
+func (s *BatchScratch) hashesBuf() *[BatchSize]uint64 {
 	if s.hashes == nil {
 		s.hashes = new([BatchSize]uint64)
 	}
@@ -290,8 +290,8 @@ func markSlots(matched []uint64, found []bool, slots *[BatchSize]uint64, mask ui
 func (t *ChainedTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	buckets := t.buckets
 	if len(buckets) == 0 {
 		return
@@ -336,8 +336,8 @@ func (t *ChainedTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s 
 func (t *ChainedTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	buckets := t.buckets
 	if len(buckets) == 0 {
 		return
@@ -391,8 +391,8 @@ func (t *ChainedTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.P
 func (t *ChainedTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Payload, found []bool) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	ptrs := s.bucketBuf()
 	lanes := s.laneBuf()
 	slots := s.slotBuf()
@@ -534,8 +534,8 @@ func (t *ChainedTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Pa
 func (t *LinearTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	tk := t.keys
 	if len(tk) == 0 {
 		return
@@ -576,8 +576,8 @@ func (t *LinearTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *
 func (t *LinearTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	tk := t.keys
 	if len(tk) == 0 {
 		return
@@ -619,8 +619,8 @@ func (t *LinearTable) BuildBatchConcurrent(keys []tuple.Key, payloads []tuple.Pa
 func (t *LinearTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Payload, found []bool) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	slots := s.slotBuf()
 	biased := s.keyBuf()
 	lanes := s.laneBuf()
@@ -727,8 +727,8 @@ func (t *LinearTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Pay
 func (t *RobinHoodTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	tk := t.keys
 	if len(tk) == 0 {
 		return
@@ -781,8 +781,8 @@ func (t *RobinHoodTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, 
 func (t *RobinHoodTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Payload, found []bool) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	slots := s.slotBuf()
 	biased := s.keyBuf()
 	dists := s.distBuf()
@@ -1022,8 +1022,8 @@ func (t *ArrayTable) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payl
 func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Payload, found []bool) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	slots := s.slotBuf()
 	lanes := s.laneBuf()
 	ranks := s.curkBuf() // each lane's home rank (popcount ranks are uint32)
@@ -1046,9 +1046,9 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 	nc := 0
 	for li := 0; li < n; li++ {
 		if p := li + pfd; pfd > 0 && p < n {
-			pf(unsafe.Pointer(&groups[((h[p&(BatchSize-1)]&mask)>>5)&gmask]))
+			pf(unsafe.Pointer(&groups[(((h[p&(BatchSize-1)]<<chtBucketShift)&mask)>>5)&gmask]))
 		}
-		pos := h[li] & mask
+		pos := (h[li] << chtBucketShift) & mask
 		h[li] = pos
 		slots[li] = pos
 		payloads[li] = 0
@@ -1167,8 +1167,8 @@ func (t *CHT) ProbeJoinBatch(keys []tuple.Key, probePayloads []tuple.Payload, s 
 func (t *SparseTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *BatchScratch) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	checkSpan(len(payloads), n)
 	payloads = payloads[:n]
 	for li := 0; li < n; li++ {
@@ -1209,8 +1209,8 @@ func (t *SparseTable) BuildBatch(keys []tuple.Key, payloads []tuple.Payload, s *
 func (t *SparseTable) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Payload, found []bool) {
 	n := len(keys)
 	checkBatch(n)
-	h := s.hashBuf()
-	t.hashB(h[:n], keys)
+	h := s.hashesBuf()
+	t.hash.Batch(h[:n], keys)
 	slots := s.slotBuf()
 	lanes := s.laneBuf()
 	checkSpan(len(payloads), n)

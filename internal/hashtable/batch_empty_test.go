@@ -17,15 +17,15 @@ func TestLookupBatchEmptyTableClearsOutputs(t *testing.T) {
 	// Construct each kind, then strip its backing storage to reach the
 	// empty-table guard (the constructors always allocate at least one
 	// slot, so the guard is otherwise unreachable from fresh tables).
-	ct := NewChainedTable(4, nil)
+	ct := NewChainedTable(4, hashfn.Identity, nil)
 	ct.buckets = nil
-	lt := NewLinearTable(4, nil)
+	lt := NewLinearTable(4, 0, hashfn.Identity, nil)
 	lt.keys = nil
-	rh := NewRobinHoodTable(4, 0, nil)
+	rh := NewRobinHoodTable(4, 0, hashfn.Identity, nil)
 	rh.keys = nil
 	cht := BuildCHT(nil, hashfn.Identity)
 	cht.groups = nil
-	st := NewSparseTable(4, nil)
+	st := NewSparseTable(4, hashfn.Identity)
 	st.groups = nil
 
 	tables := map[string]interface {
@@ -63,11 +63,11 @@ func TestLookupBatchEmptyTableClearsOutputs(t *testing.T) {
 // scratch outputs shared — the second batch must not inherit the
 // first's hits.
 func TestLookupBatchEmptyAfterPopulated(t *testing.T) {
-	full := NewChainedTable(8, nil)
+	full := NewChainedTable(8, hashfn.Identity, nil)
 	for i := 0; i < 8; i++ {
 		full.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i + 1)})
 	}
-	empty := NewChainedTable(8, nil)
+	empty := NewChainedTable(8, hashfn.Identity, nil)
 	empty.buckets = nil
 
 	s := &BatchScratch{}

@@ -19,12 +19,12 @@ type batchTable interface {
 // buildBatchTables constructs every table kind over the given tuples
 // using the scalar insert paths, so the batch probe kernels are
 // checked against independently built tables.
-func buildBatchTables(tb testing.TB, tuples []tuple.Tuple, domain int, hash hashfn.Func) map[string]batchTable {
+func buildBatchTables(tb testing.TB, tuples []tuple.Tuple, domain int, hash hashfn.Hash) map[string]batchTable {
 	tb.Helper()
-	ct := NewChainedTable(max(len(tuples), 1), hash)
-	lt := NewLinearTable(max(len(tuples), 1), hash)
-	rh := NewRobinHoodTable(max(len(tuples), 1), 0, hash)
-	at := NewArrayTable(0, domain)
+	ct := NewChainedTable(max(len(tuples), 1), hash, nil)
+	lt := NewLinearTable(max(len(tuples), 1), 0, hash, nil)
+	rh := NewRobinHoodTable(max(len(tuples), 1), 0, hash, nil)
+	at := NewArrayTable(0, domain, nil)
 	st := NewSparseTable(max(len(tuples), 1), hash)
 	for _, tp := range tuples {
 		ct.Insert(tp)
@@ -86,8 +86,8 @@ func runBatched(n int, fn func(lo, hi int)) {
 }
 
 // TestLookupBatchMatchesLookup checks LookupBatch against scalar Lookup
-// for every table kind across dense, hole-heavy and miss-heavy key
-// sets, including batch-boundary lengths.
+// for every table kind under every hash across dense, hole-heavy and
+// miss-heavy key sets, including batch-boundary lengths.
 func TestLookupBatchMatchesLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, build := range []struct {
@@ -104,20 +104,22 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 			for i := range tuples {
 				tuples[i] = tuple.Tuple{Key: tuple.Key(i * build.stride), Payload: tuple.Payload(i*3 + 1)}
 			}
-			tables := buildBatchTables(t, tuples, domain, hashfn.Murmur)
-			for setName, keys := range batchKeySets(n, domain, rng) {
-				for tblName, tbl := range tables {
-					var s BatchScratch
-					payloads := make([]tuple.Payload, len(keys))
-					found := make([]bool, len(keys))
-					runBatched(len(keys), func(lo, hi int) {
-						tbl.LookupBatch(keys[lo:hi], &s, payloads[lo:hi], found[lo:hi])
-					})
-					for i, k := range keys {
-						wantP, wantOK := tbl.Lookup(k)
-						if found[i] != wantOK || payloads[i] != wantP {
-							t.Fatalf("%s/%s: key %d lane %d: batch = %d,%v scalar = %d,%v",
-								tblName, setName, k, i, payloads[i], found[i], wantP, wantOK)
+			for _, h := range allHashes {
+				tables := buildBatchTables(t, tuples, domain, h)
+				for setName, keys := range batchKeySets(n, domain, rng) {
+					for tblName, tbl := range tables {
+						var s BatchScratch
+						payloads := make([]tuple.Payload, len(keys))
+						found := make([]bool, len(keys))
+						runBatched(len(keys), func(lo, hi int) {
+							tbl.LookupBatch(keys[lo:hi], &s, payloads[lo:hi], found[lo:hi])
+						})
+						for i, k := range keys {
+							wantP, wantOK := tbl.Lookup(k)
+							if found[i] != wantOK || payloads[i] != wantP {
+								t.Fatalf("%v/%s/%s: key %d lane %d: batch = %d,%v scalar = %d,%v",
+									h, tblName, setName, k, i, payloads[i], found[i], wantP, wantOK)
+							}
 						}
 					}
 				}
@@ -127,7 +129,7 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 }
 
 // TestProbeJoinBatchMatchesScalarProbe checks the fused probe kernel
-// against a scalar Lookup loop: same match count and same
+// against a scalar Lookup loop under every hash: same match count and same
 // order-independent checksum of emitted payload pairs.
 func TestProbeJoinBatchMatchesScalarProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -136,38 +138,40 @@ func TestProbeJoinBatchMatchesScalarProbe(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(2*i + 5)}
 	}
-	tables := buildBatchTables(t, tuples, n, hashfn.Multiplicative)
-	for setName, keys := range batchKeySets(n, n, rng) {
-		probePayloads := make([]tuple.Payload, len(keys))
-		for i := range probePayloads {
-			probePayloads[i] = tuple.Payload(i)
-		}
-		for tblName, tbl := range tables {
-			var wantMatches int
-			var wantSum uint64
-			for i, k := range keys {
-				if p, ok := tbl.Lookup(k); ok {
-					wantMatches++
-					wantSum += uint64(p)<<32 | uint64(probePayloads[i])
-				}
+	for _, h := range allHashes {
+		tables := buildBatchTables(t, tuples, n, h)
+		for setName, keys := range batchKeySets(n, n, rng) {
+			probePayloads := make([]tuple.Payload, len(keys))
+			for i := range probePayloads {
+				probePayloads[i] = tuple.Payload(i)
 			}
-			var s BatchScratch
-			var out MatchBatch
-			var gotMatches int
-			var gotSum uint64
-			runBatched(len(keys), func(lo, hi int) {
-				tbl.ProbeJoinBatch(keys[lo:hi], probePayloads[lo:hi], &s, &out)
-				if out.N > hi-lo {
-					t.Fatalf("%s/%s: out.N = %d exceeds batch length %d", tblName, setName, out.N, hi-lo)
+			for tblName, tbl := range tables {
+				var wantMatches int
+				var wantSum uint64
+				for i, k := range keys {
+					if p, ok := tbl.Lookup(k); ok {
+						wantMatches++
+						wantSum += uint64(p)<<32 | uint64(probePayloads[i])
+					}
 				}
-				for i := 0; i < out.N; i++ {
-					gotSum += uint64(out.Build[i])<<32 | uint64(out.Probe[i])
+				var s BatchScratch
+				var out MatchBatch
+				var gotMatches int
+				var gotSum uint64
+				runBatched(len(keys), func(lo, hi int) {
+					tbl.ProbeJoinBatch(keys[lo:hi], probePayloads[lo:hi], &s, &out)
+					if out.N > hi-lo {
+						t.Fatalf("%v/%s/%s: out.N = %d exceeds batch length %d", h, tblName, setName, out.N, hi-lo)
+					}
+					for i := 0; i < out.N; i++ {
+						gotSum += uint64(out.Build[i])<<32 | uint64(out.Probe[i])
+					}
+					gotMatches += out.N
+				})
+				if gotMatches != wantMatches || gotSum != wantSum {
+					t.Fatalf("%v/%s/%s: batch probe = %d matches sum %x, scalar = %d matches sum %x",
+						h, tblName, setName, gotMatches, gotSum, wantMatches, wantSum)
 				}
-				gotMatches += out.N
-			})
-			if gotMatches != wantMatches || gotSum != wantSum {
-				t.Fatalf("%s/%s: batch probe = %d matches sum %x, scalar = %d matches sum %x",
-					tblName, setName, gotMatches, gotSum, wantMatches, wantSum)
 			}
 		}
 	}
@@ -184,30 +188,46 @@ type trackingTable interface {
 // LookupBatch mark the same build entries: for every design and key set
 // it probes one tracking twin each way and compares both tables'
 // ForEachUnmatched sets against the build tuples whose key was never
-// probed. The "collide" build sends every key to 16 home buckets, which
-// forces chained overflow chains and CHT overflow entries.
+// probed. The "collide" build sends every key, built or probed, to 16
+// home buckets, which forces chained overflow chains and CHT overflow
+// entries.
 func TestMatchTrackingScalarMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	lowHash := func(k tuple.Key) uint64 { return uint64(k) & 15 }
+	// collide maps key k to k%16 + (k/16)*4096: under the identity hash
+	// its home is k%16 in every design of a 2^10-key build, whose hash
+	// spaces are at most 4096 slots wide.
+	collide := func(k tuple.Key) tuple.Key { return k%16 + k/16*4096 }
 	for _, build := range []struct {
 		name   string
 		n      int
 		stride int
-		hash   hashfn.Func
+		hash   hashfn.Hash
+		spread func(tuple.Key) tuple.Key
 	}{
-		{"dense", 1 << 12, 1, hashfn.Murmur},
-		{"holeheavy", 1 << 12, 7, hashfn.Murmur},
-		{"collide", 1 << 10, 1, lowHash},
+		{"dense", 1 << 12, 1, hashfn.Murmur, nil},
+		{"holeheavy", 1 << 12, 7, hashfn.Murmur, nil},
+		{"collide", 1 << 10, 1, hashfn.Identity, collide},
 	} {
 		t.Run(build.name, func(t *testing.T) {
 			domain := build.n * build.stride
-			tuples := make([]tuple.Tuple, build.n)
-			for i := range tuples {
-				tuples[i] = tuple.Tuple{Key: tuple.Key(i * build.stride), Payload: tuple.Payload(i*3 + 1)}
+			spread := func(k tuple.Key) tuple.Key { return k }
+			arrayDomain := domain
+			if build.spread != nil {
+				spread = build.spread
+				arrayDomain = int(spread(tuple.Key(domain-1))) + 1
 			}
-			scalarTwins := buildBatchTables(t, tuples, domain, build.hash)
-			batchTwins := buildBatchTables(t, tuples, domain, build.hash)
-			if build.name == "collide" {
+			tuples := make([]tuple.Tuple, build.n)
+			buildKeys := make([]tuple.Key, build.n)
+			for i := range tuples {
+				buildKeys[i] = spread(tuple.Key(i * build.stride))
+				tuples[i] = tuple.Tuple{Key: buildKeys[i], Payload: tuple.Payload(i*3 + 1)}
+			}
+			scalarTwins := buildBatchTables(t, tuples, arrayDomain, build.hash)
+			batchTwins := buildBatchTables(t, tuples, arrayDomain, build.hash)
+			if build.spread != nil {
+				for _, tbl := range scalarTwins {
+					checkHomes(t, tbl, buildKeys, 16)
+				}
 				if ct := scalarTwins["chained"].(*ChainedTable); len(ct.arena) == 0 {
 					t.Fatal("collide build made no chained overflow chains")
 				}
@@ -216,6 +236,10 @@ func TestMatchTrackingScalarMatchesBatch(t *testing.T) {
 				}
 			}
 			for setName, keys := range batchKeySets(build.n, domain, rng) {
+				keys = append([]tuple.Key(nil), keys...)
+				for i, k := range keys {
+					keys[i] = spread(k)
+				}
 				probed := make(map[tuple.Key]bool, len(keys))
 				for _, k := range keys {
 					probed[k] = true
@@ -260,8 +284,9 @@ func TestMatchTrackingScalarMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestBuildBatchMatchesInsert builds one table per kind through the
-// batch kernels and compares every lookup against a scalar-built twin.
+// TestBuildBatchMatchesInsert builds one table per kind under every
+// hash through the batch kernels and compares every lookup against a
+// scalar-built twin.
 func TestBuildBatchMatchesInsert(t *testing.T) {
 	const n = 5000 // not a multiple of BatchSize
 	tuples := make([]tuple.Tuple, n)
@@ -274,13 +299,19 @@ func TestBuildBatchMatchesInsert(t *testing.T) {
 		payloads[i] = tuple.Payload(i + 7)
 	}
 	domain := n * 3
-	hash := hashfn.Murmur
+	for _, hash := range allHashes {
+		checkBuildBatch(t, tuples, keys, payloads, domain, hash)
+	}
+}
 
+func checkBuildBatch(t *testing.T, tuples []tuple.Tuple, keys []tuple.Key, payloads []tuple.Payload, domain int, hash hashfn.Hash) {
+	t.Helper()
+	n := len(tuples)
 	var s BatchScratch
-	ct := NewChainedTable(n, hash)
-	lt := NewLinearTable(n, hash)
-	rh := NewRobinHoodTable(n, 0, hash)
-	at := NewArrayTable(0, domain)
+	ct := NewChainedTable(n, hash, nil)
+	lt := NewLinearTable(n, 0, hash, nil)
+	rh := NewRobinHoodTable(n, 0, hash, nil)
+	at := NewArrayTable(0, domain, nil)
 	st := NewSparseTable(n, hash)
 	runBatched(n, func(lo, hi int) {
 		ct.BuildBatch(keys[lo:hi], payloads[lo:hi], &s)
@@ -294,13 +325,13 @@ func TestBuildBatchMatchesInsert(t *testing.T) {
 	for name, g := range got {
 		w := want[name]
 		if g.Len() != w.Len() {
-			t.Fatalf("%s: batch build len = %d, scalar = %d", name, g.Len(), w.Len())
+			t.Fatalf("%v/%s: batch build len = %d, scalar = %d", hash, name, g.Len(), w.Len())
 		}
 		for k := tuple.Key(0); int(k) < domain; k++ {
 			gp, gok := g.Lookup(k)
 			wp, wok := w.Lookup(k)
 			if gp != wp || gok != wok {
-				t.Fatalf("%s: Lookup(%d) batch-built = %d,%v scalar-built = %d,%v", name, k, gp, gok, wp, wok)
+				t.Fatalf("%v/%s: Lookup(%d) batch-built = %d,%v scalar-built = %d,%v", hash, name, k, gp, gok, wp, wok)
 			}
 		}
 	}
@@ -318,10 +349,10 @@ func TestBuildBatchConcurrentMatchesInsert(t *testing.T) {
 		payloads[i] = tuple.Payload(i * 5)
 	}
 	var s BatchScratch
-	ct := NewChainedTable(n, hashfn.Multiplicative)
+	ct := NewChainedTable(n, hashfn.Multiplicative, nil)
 	ct.PrepareConcurrent()
-	lt := NewLinearTable(n, hashfn.Multiplicative)
-	at := NewArrayTable(0, n)
+	lt := NewLinearTable(n, 0, hashfn.Multiplicative, nil)
+	at := NewArrayTable(0, n, nil)
 	runBatched(n, func(lo, hi int) {
 		ct.BuildBatchConcurrent(keys[lo:hi], payloads[lo:hi], &s)
 		lt.BuildBatchConcurrent(keys[lo:hi], payloads[lo:hi], &s)
@@ -350,7 +381,7 @@ func TestChainedResetRebuildAllocationFree(t *testing.T) {
 	const n = 4096
 	// All keys collide into few buckets so the overflow arena is used
 	// heavily: table sized for 64 tuples, fed 4096.
-	ct := NewChainedTable(64, hashfn.Multiplicative)
+	ct := NewChainedTable(64, hashfn.Multiplicative, nil)
 	ct.ReserveOverflow(n) // ample; exact need is below n
 	tuples := denseTuples(n)
 	build := func() {

@@ -28,7 +28,7 @@ func BenchmarkTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("chained-%dk", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n) * tuple.Bytes)
 			for i := 0; i < b.N; i++ {
-				t := NewChainedTable(n, hashfn.Identity)
+				t := NewChainedTable(n, hashfn.Identity, nil)
 				for _, tp := range tuples {
 					t.Insert(tp)
 				}
@@ -37,7 +37,7 @@ func BenchmarkTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("linear-%dk", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n) * tuple.Bytes)
 			for i := 0; i < b.N; i++ {
-				t := NewLinearTable(n, hashfn.Identity)
+				t := NewLinearTable(n, 0, hashfn.Identity, nil)
 				for _, tp := range tuples {
 					t.Insert(tp)
 				}
@@ -52,7 +52,7 @@ func BenchmarkTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("array-%dk", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n) * tuple.Bytes)
 			for i := 0; i < b.N; i++ {
-				t := NewArrayTable(0, n)
+				t := NewArrayTable(0, n, nil)
 				for _, tp := range tuples {
 					t.Insert(tp)
 				}
@@ -61,7 +61,7 @@ func BenchmarkTableBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("robinhood-%dk", n>>10), func(b *testing.B) {
 			b.SetBytes(int64(n) * tuple.Bytes)
 			for i := 0; i < b.N; i++ {
-				t := NewRobinHoodTable(n, 0, hashfn.Identity)
+				t := NewRobinHoodTable(n, 0, hashfn.Identity, nil)
 				for _, tp := range tuples {
 					t.Insert(tp)
 				}
@@ -75,10 +75,10 @@ func BenchmarkTableProbe(b *testing.B) {
 	tuples := benchTuples(n)
 	probes := benchTuples(n) // same keys, shuffled order
 
-	ct := NewChainedTable(n, hashfn.Identity)
-	lt := NewLinearTable(n, hashfn.Identity)
-	at := NewArrayTable(0, n)
-	rh := NewRobinHoodTable(n, 0, hashfn.Identity)
+	ct := NewChainedTable(n, hashfn.Identity, nil)
+	lt := NewLinearTable(n, 0, hashfn.Identity, nil)
+	at := NewArrayTable(0, n, nil)
+	rh := NewRobinHoodTable(n, 0, hashfn.Identity, nil)
 	st := NewSparseTable(n, hashfn.Identity)
 	for _, tp := range tuples {
 		ct.Insert(tp)
@@ -132,10 +132,10 @@ func BenchmarkProbeKernels(b *testing.B) {
 		probes := benchTuples(n)
 		keys, payloads := soaKeys(probes)
 
-		ct := NewChainedTable(n, hashfn.Murmur)
-		lt := NewLinearTable(n, hashfn.Murmur)
-		at := NewArrayTable(0, n)
-		rh := NewRobinHoodTable(n, 0, hashfn.Murmur)
+		ct := NewChainedTable(n, hashfn.Murmur, nil)
+		lt := NewLinearTable(n, 0, hashfn.Murmur, nil)
+		at := NewArrayTable(0, n, nil)
+		rh := NewRobinHoodTable(n, 0, hashfn.Murmur, nil)
 		st := NewSparseTable(n, hashfn.Murmur)
 		for _, tp := range tuples {
 			ct.Insert(tp)
@@ -196,10 +196,10 @@ func BenchmarkBuildKernels(b *testing.B) {
 		tuples := benchTuples(n)
 		keys, payloads := soaKeys(tuples)
 
-		ct := NewChainedTable(n, hashfn.Murmur)
-		lt := NewLinearTable(n, hashfn.Murmur)
-		rh := NewRobinHoodTable(n, 0, hashfn.Murmur)
-		at := NewArrayTable(0, n)
+		ct := NewChainedTable(n, hashfn.Murmur, nil)
+		lt := NewLinearTable(n, 0, hashfn.Murmur, nil)
+		rh := NewRobinHoodTable(n, 0, hashfn.Murmur, nil)
+		at := NewArrayTable(0, n, nil)
 
 		scalarCases := []struct {
 			name  string
@@ -253,7 +253,7 @@ func BenchmarkLinearInsertConcurrent(b *testing.B) {
 	tuples := benchTuples(n)
 	b.SetBytes(int64(n) * tuple.Bytes)
 	for i := 0; i < b.N; i++ {
-		t := NewLinearTable(n, hashfn.Identity)
+		t := NewLinearTable(n, 0, hashfn.Identity, nil)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

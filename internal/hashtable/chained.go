@@ -62,8 +62,7 @@ const (
 type ChainedTable struct {
 	buckets []chainedBucket
 	mask    uint64
-	hash    hashfn.Func
-	hashB   hashfn.BatchFunc
+	hash    hashfn.Hash
 	arena   []chainedBucket // overflow bucket storage, 1-based-index addressed
 	// ovUsed is the overflow cursor of concurrent builds: chains are
 	// guarded by per-head latches, which cannot protect a growing
@@ -85,25 +84,16 @@ type ChainedTable struct {
 
 // NewChainedTable creates a table for about n tuples. The bucket count is
 // the next power of two of n/chainedBucketTuples so the expected chain
-// length stays at one bucket.
-func NewChainedTable(n int, hash hashfn.Func) *ChainedTable {
-	return NewChainedTableArena(n, hash, nil)
-}
-
-// NewChainedTableArena is NewChainedTable with the backing arrays drawn
-// from the arena (possibly off-heap; the bucket layout is pointer-free
-// exactly so this is legal). The caller owns the table's storage and
-// must call Free when done; a nil arena gives plain heap allocation.
-func NewChainedTableArena(n int, hash hashfn.Func, a *exec.Arena) *ChainedTable {
+// length stays at one bucket. The backing arrays come from the arena a
+// (possibly off-heap; the bucket layout is pointer-free exactly so this
+// is legal), and the caller owns the table's storage and must call Free
+// when done; a nil arena means the heap.
+func NewChainedTable(n int, hash hashfn.Hash, a *exec.Arena) *ChainedTable {
 	checkCapacity(n)
-	if hash == nil {
-		hash = hashfn.Identity
-	}
 	nb := NextPow2((n + chainedBucketTuples - 1) / chainedBucketTuples)
 	t := &ChainedTable{
 		mask:     uint64(nb - 1),
 		hash:     hash,
-		hashB:    hashfn.BatchFor(hash),
 		capacity: n,
 		a:        a,
 	}
@@ -223,7 +213,7 @@ func (t *ChainedTable) Insert(tp tuple.Tuple) {
 		// the chain-walk below relocation-free.
 		t.ensureOverflowSpace(1)
 	}
-	b := &t.buckets[t.hash(tp.Key)&t.mask]
+	b := &t.buckets[t.hash.Scalar(tp.Key)&t.mask]
 	for {
 		cnt := int(b.meta)
 		if cnt < chainedBucketTuples {
@@ -290,7 +280,7 @@ func (t *ChainedTable) newOverflowConcurrent() int32 {
 //
 //mmjoin:hotpath
 func (t *ChainedTable) InsertConcurrent(tp tuple.Tuple) {
-	head := &t.buckets[t.hash(tp.Key)&t.mask]
+	head := &t.buckets[t.hash.Scalar(tp.Key)&t.mask]
 	t.lock(head)
 	b := head
 	for {
@@ -353,7 +343,7 @@ func (t *ChainedTable) FinishConcurrentBuild() {
 //
 //mmjoin:hotpath
 func (t *ChainedTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
-	b := &t.buckets[t.hash(k)&t.mask]
+	b := &t.buckets[t.hash.Scalar(k)&t.mask]
 	for {
 		cnt := int(atomic.LoadUint32(&b.meta) & chainedCountMask)
 		for i := 0; i < cnt; i++ {

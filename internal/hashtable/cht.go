@@ -26,8 +26,7 @@ type CHT struct {
 	array    []tuple.Tuple
 	overflow map[tuple.Key][]tuple.Payload
 	mask     uint64 // bucketCount - 1
-	hash     hashfn.Func
-	hashB    hashfn.BatchFunc
+	hash     hashfn.Hash
 	n        int
 
 	// Match-tracking state (empty until EnableMatchTracking): a mark bitmap
@@ -57,8 +56,14 @@ type chtGroup struct {
 }
 
 // chtBucketsPerTuple is the bitmap over-provisioning factor: the paper's
-// CHT uses a bitmap of size 8*n.
-const chtBucketsPerTuple = 8
+// CHT uses a bitmap of size 8*n. A key's home bucket is its hash shifted
+// left by chtBucketShift, so a hash uniform over n slots is uniform over
+// the 8n buckets and the identity hash stays collision-free for dense
+// keys.
+const (
+	chtBucketShift     = 3
+	chtBucketsPerTuple = 1 << chtBucketShift
+)
 
 // chtMaxDisplacement bounds linear probing in bitmap space; longer runs
 // spill to the overflow table. Two bitmap words is generous at the
@@ -85,14 +90,17 @@ func (t *CHT) pfDist() int {
 
 // BuildCHT bulk-loads a CHT from the relation on one thread. The
 // parallel partitioned build used by the CHTJ join lives in CHTBuilder.
-func BuildCHT(rel tuple.Relation, hash hashfn.Func) *CHT {
-	b := NewCHTBuilder(len(rel), 1, hash)
+func BuildCHT(rel tuple.Relation, hash hashfn.Hash) *CHT {
+	b := NewCHTBuilder(len(rel), 1, hash, nil)
 	b.LoadRegion(0, rel)
 	return b.Finalize()
 }
 
 // bucketOf returns the home bucket of a key.
-func (t *CHT) bucketOf(k tuple.Key) uint64 { return t.hash(k) & t.mask }
+//
+//mmjoin:hotpath
+//mmjoin:inline
+func (t *CHT) bucketOf(k tuple.Key) uint64 { return (t.hash.Scalar(k) << chtBucketShift) & t.mask }
 
 // Lookup implements Table, marking the hit while tracking is on.
 func (t *CHT) Lookup(k tuple.Key) (tuple.Payload, bool) {
@@ -203,20 +211,11 @@ const chtSpilled = 0xff
 // NewCHTBuilder prepares a builder for n tuples loaded via `regions`
 // disjoint regions. regions must be a power of two so regions align with
 // bitmap groups; it is clamped to keep each region at least one group
-// wide.
-func NewCHTBuilder(n, regions int, hash hashfn.Func) *CHTBuilder {
-	return NewCHTBuilderArena(n, regions, hash, nil)
-}
-
-// NewCHTBuilderArena is NewCHTBuilder with the finished table's bitmap
-// groups and dense array drawn from the arena (possibly off-heap; both
-// are pointer-free). The caller owns the storage and must call the
-// table's Free when done; a nil arena gives plain heap allocation.
-func NewCHTBuilderArena(n, regions int, hash hashfn.Func, a *exec.Arena) *CHTBuilder {
+// wide. The finished table's bitmap groups and dense array come from the
+// arena a (possibly off-heap; both are pointer-free), and the caller
+// must call the table's Free when done; a nil arena means the heap.
+func NewCHTBuilder(n, regions int, hash hashfn.Hash, a *exec.Arena) *CHTBuilder {
 	checkCapacity(n)
-	if hash == nil {
-		hash = hashfn.Identity
-	}
 	bucketCount := max(NextPow2(n)*chtBucketsPerTuple, 32)
 	regions = max(NextPow2(regions), 1)
 	for regions > bucketCount/32 {
@@ -227,7 +226,6 @@ func NewCHTBuilderArena(n, regions int, hash hashfn.Func, a *exec.Arena) *CHTBui
 			overflow: make(map[tuple.Key][]tuple.Payload),
 			mask:     uint64(bucketCount - 1),
 			hash:     hash,
-			hashB:    hashfn.BatchFor(hash),
 			a:        a,
 		},
 		regions: regions,

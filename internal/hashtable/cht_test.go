@@ -10,20 +10,58 @@ import (
 	"mmjoin/internal/tuple"
 )
 
-// chtHashes are the hash functions the CHT layout tests build with; the
-// constant hash sends every key to one home, so all but the first
-// chtMaxDisplacement tuples of a region overflow.
-var chtHashes = map[string]hashfn.Func{
-	"identity": hashfn.Identity,
-	"murmur":   hashfn.Murmur,
-	"constant": func(tuple.Key) uint64 { return 5 },
+// chtCase is one hash setup of the CHT layout tests. Under "constant"
+// the input's keys are respread by sameHomeKeys so that every key shares
+// one home bucket, and all but the first chtMaxDisplacement tuples of a
+// region overflow.
+type chtCase struct {
+	hash     hashfn.Hash
+	sameHome bool
+}
+
+var chtCases = map[string]chtCase{
+	"identity": {hashfn.Identity, false},
+	"murmur":   {hashfn.Murmur, false},
+	"constant": {hashfn.Identity, true},
+}
+
+// sameHomeKey maps the dense key index i of an n-tuple CHT to a key
+// whose identity-hash home is bucket 8*5: key 5 + i*stride, with stride
+// the bitmap's bucket count over chtBucketsPerTuple, shifts to
+// 8*5 + i*bucketCount.
+func sameHomeKey(n, i int) tuple.Key {
+	stride := max(NextPow2(n)*chtBucketsPerTuple, 32) / chtBucketsPerTuple
+	return tuple.Key(5 + i*stride)
+}
+
+// keysFor returns the case's input, and its key for a dense index.
+func (c chtCase) keysFor(input []tuple.Tuple) ([]tuple.Tuple, func(int) tuple.Key) {
+	if !c.sameHome {
+		return input, func(i int) tuple.Key { return tuple.Key(i) }
+	}
+	out := make([]tuple.Tuple, len(input))
+	for i, tp := range input {
+		out[i] = tuple.Tuple{Key: sameHomeKey(len(input), int(tp.Key)), Payload: tp.Payload}
+	}
+	return out, func(i int) tuple.Key { return sameHomeKey(len(input), i) }
+}
+
+// checkSharedHome asserts, through the table's own hash and mask, that
+// every input key has the same home bucket.
+func checkSharedHome(t *testing.T, cht *CHT, input []tuple.Tuple) {
+	t.Helper()
+	for _, tp := range input {
+		if h, h0 := cht.bucketOf(tp.Key), cht.bucketOf(input[0].Key); h != h0 {
+			t.Fatalf("key %d has home %d, key %d has home %d: the keys do not collide", tp.Key, h, input[0].Key, h0)
+		}
+	}
 }
 
 // buildCHTRegions bulk-loads a CHT the way the CHTJ join does: the
 // tuples are partitioned by RegionOf, each region's tuples are handed
 // over as two segments, and the regions are claimed concurrently.
-func buildCHTRegions(tuples []tuple.Tuple, regions int, hash hashfn.Func) (*CHTBuilder, *CHT) {
-	b := NewCHTBuilder(len(tuples), regions, hash)
+func buildCHTRegions(tuples []tuple.Tuple, regions int, hash hashfn.Hash) (*CHTBuilder, *CHT) {
+	b := NewCHTBuilder(len(tuples), regions, hash, nil)
 	parts := make([][]tuple.Tuple, b.Regions())
 	for _, tp := range tuples {
 		r := b.RegionOf(tp.Key)
@@ -116,10 +154,14 @@ func chtTestInputs() map[string][]tuple.Tuple {
 
 func TestCHTBulkloadLayout(t *testing.T) {
 	for name, input := range chtTestInputs() {
-		for hname, h := range chtHashes {
+		for hname, c := range chtCases {
+			input, _ := c.keysFor(input)
 			for _, regions := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("%s/%s/regions=%d", name, hname, regions), func(t *testing.T) {
-					b, cht := buildCHTRegions(input, regions, h)
+					b, cht := buildCHTRegions(input, regions, c.hash)
+					if c.sameHome {
+						checkSharedHome(t, cht, input)
+					}
 					checkCHTLayout(t, b, cht, input)
 				})
 			}
@@ -137,19 +179,23 @@ func TestCHTLookupBatchMatchesLookup(t *testing.T) {
 	inputs["n=2^18"] = denseTuples(1 << 18)
 	for _, dist := range []int{0, PrefetchDistance()} {
 		for name, input := range inputs {
-			for hname, h := range chtHashes {
-				if hname == "constant" && len(input) > 1<<13 {
+			for hname, c := range chtCases {
+				if c.sameHome && len(input) > 1<<13 {
 					continue // all-overflow: the map path is covered by the small inputs
 				}
+				input, keyOf := c.keysFor(input)
 				for _, regions := range []int{1, 8} {
 					t.Run(fmt.Sprintf("dist=%d/%s/%s/regions=%d", dist, name, hname, regions), func(t *testing.T) {
 						prev := SetPrefetchDistance(dist)
 						defer SetPrefetchDistance(prev)
-						_, scalar := buildCHTRegions(input, regions, h)
-						_, batch := buildCHTRegions(input, regions, h)
+						_, scalar := buildCHTRegions(input, regions, c.hash)
+						_, batch := buildCHTRegions(input, regions, c.hash)
+						if c.sameHome {
+							checkSharedHome(t, scalar, input)
+						}
 						scalar.EnableMatchTracking()
 						batch.EnableMatchTracking()
-						checkCHTLookupBatch(t, scalar, batch, len(input))
+						checkCHTLookupBatch(t, scalar, batch, len(input), keyOf)
 					})
 				}
 			}
@@ -157,13 +203,13 @@ func TestCHTLookupBatchMatchesLookup(t *testing.T) {
 	}
 }
 
-func checkCHTLookupBatch(t *testing.T, scalar, batch *CHT, n int) {
+func checkCHTLookupBatch(t *testing.T, scalar, batch *CHT, n int, keyOf func(int) tuple.Key) {
 	t.Helper()
 	// Every third key of the domain and every key past it: hits, and
 	// misses beyond the built keys.
 	var keys []tuple.Key
-	for k := 0; k < 2*n+BatchSize; k += 3 {
-		keys = append(keys, tuple.Key(k))
+	for i := 0; i < 2*n+BatchSize; i += 3 {
+		keys = append(keys, keyOf(i))
 	}
 	var s BatchScratch
 	pays := make([]tuple.Payload, BatchSize)
@@ -192,4 +238,34 @@ func checkCHTLookupBatch(t *testing.T, scalar, batch *CHT, n int) {
 			t.Fatalf("unmatched tuple %+v: scalar %d, batch %d", tp, c, ub[tp])
 		}
 	}
+}
+
+// TestCHTDenseIdentityRegionsBalanced pins the CHT's own x8 spread: with
+// the identity hash key k's home is 8k, so 2^14 dense keys fill all 16
+// regions evenly and none overflows.
+func TestCHTDenseIdentityRegionsBalanced(t *testing.T) {
+	const n, regions = 1 << 14, 16
+	input := denseTuples(n)
+	b, cht := buildCHTRegions(input, regions, hashfn.Identity)
+	if b.Regions() != regions {
+		t.Fatalf("Regions = %d, want %d", b.Regions(), regions)
+	}
+	perRegion := make([]int, regions)
+	for _, tp := range input {
+		perRegion[b.RegionOf(tp.Key)]++
+	}
+	for r, c := range perRegion {
+		if c != n/regions {
+			t.Errorf("region %d received %d keys, want %d", r, c, n/regions)
+		}
+	}
+	if ov := cht.OverflowLen(); ov != 0 {
+		t.Errorf("OverflowLen = %d, want 0", ov)
+	}
+	for _, tp := range input {
+		if home, want := cht.bucketOf(tp.Key), (uint64(tp.Key)*8)&cht.mask; home != want {
+			t.Fatalf("key %d: home %d, want 8k & mask = %d", tp.Key, home, want)
+		}
+	}
+	checkCHTLayout(t, b, cht, input)
 }

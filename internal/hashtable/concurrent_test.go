@@ -34,12 +34,12 @@ func concurrentBuilders() []concurrentBuilder {
 	newChained := func(n int) Table {
 		// Identity hash: the lockstep key schedule below then sends two
 		// workers to the same head bucket at the same moment.
-		ct = NewChainedTable(n, hashfn.Identity)
+		ct = NewChainedTable(n, hashfn.Identity, nil)
 		ct.PrepareConcurrent()
 		return ct
 	}
-	newLinear := func(n int) Table { lt = NewLinearTable(n, hashfn.Identity); return lt }
-	newArray := func(n int) Table { at = NewArrayTable(0, n); return at }
+	newLinear := func(n int) Table { lt = NewLinearTable(n, 0, hashfn.Identity, nil); return lt }
+	newArray := func(n int) Table { at = NewArrayTable(0, n, nil); return at }
 	return []concurrentBuilder{
 		{"chained/batch", newChained, func(k []tuple.Key, p []tuple.Payload, s *BatchScratch) { ct.BuildBatchConcurrent(k, p, s) }, func() { ct.FinishConcurrentBuild() }},
 		{"chained/scalar", newChained, scalar(func(tp tuple.Tuple) { ct.InsertConcurrent(tp) }), func() { ct.FinishConcurrentBuild() }},

@@ -20,9 +20,10 @@
 //     sparse hash map, with per-group bitmaps over dense slices. An
 //     ablation and a cached-table design next to the CHT.
 //
-// All tables use a pluggable hash function (identity by default, see
-// internal/hashfn) and are sized to powers of two so the hash reduces
-// with a mask.
+// The hashing tables take a hashfn.Hash value (its zero value, identity,
+// is the paper's default) and are sized to powers of two so the hash
+// reduces with a mask. Each design has one constructor; a nil arena
+// means the heap.
 package hashtable
 
 import (

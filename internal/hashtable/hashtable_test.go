@@ -19,10 +19,10 @@ func TestNextPow2(t *testing.T) {
 }
 
 // buildTable constructs each table kind over the given tuples.
-func buildTables(tuples []tuple.Tuple, domain int, hash hashfn.Func) map[string]Table {
-	ct := NewChainedTable(len(tuples), hash)
-	lt := NewLinearTable(len(tuples), hash)
-	at := NewArrayTable(0, domain)
+func buildTables(tuples []tuple.Tuple, domain int, hash hashfn.Hash) map[string]Table {
+	ct := NewChainedTable(len(tuples), hash, nil)
+	lt := NewLinearTable(len(tuples), 0, hash, nil)
+	at := NewArrayTable(0, domain, nil)
 	for _, tp := range tuples {
 		ct.Insert(tp)
 		lt.Insert(tp)
@@ -30,6 +30,56 @@ func buildTables(tuples []tuple.Tuple, domain int, hash hashfn.Func) map[string]
 	}
 	cht := BuildCHT(tuples, hash)
 	return map[string]Table{"chained": ct, "linear": lt, "array": at, "cht": cht}
+}
+
+// allHashes lists every hash, so a hash whose kernels disagree with
+// its scalar form fails the tests that iterate it.
+var allHashes = []hashfn.Hash{hashfn.Identity, hashfn.Multiplicative, hashfn.Murmur, hashfn.CRC}
+
+// collidingKeys returns n keys that share `homes` home slots of a table
+// whose hash reduces modulo `slots` under the identity hash: key i is
+// i%homes + (i/homes)*slots, so its home is i%homes.
+func collidingKeys(n, homes, slots int) []tuple.Key {
+	keys := make([]tuple.Key, n)
+	for i := range keys {
+		keys[i] = tuple.Key(i%homes + i/homes*slots)
+	}
+	return keys
+}
+
+// homeOf returns key k's home slot in tbl through the table's own hash
+// and mask; ok is false for the array table, which does not hash.
+func homeOf(tbl Table, k tuple.Key) (home uint64, ok bool) {
+	switch t := tbl.(type) {
+	case *ChainedTable:
+		return t.hash.Scalar(k) & t.mask, true
+	case *LinearTable:
+		return t.hash.Scalar(k) & t.mask, true
+	case *RobinHoodTable:
+		return t.hash.Scalar(k) & t.mask, true
+	case *SparseTable:
+		return t.bucketOf(k), true
+	case *CHT:
+		return t.bucketOf(k), true
+	}
+	return 0, false
+}
+
+// checkHomes asserts that keys fall into exactly `want` distinct home
+// slots of tbl, so a collision test cannot silently stop colliding.
+func checkHomes(t testing.TB, tbl Table, keys []tuple.Key, want int) {
+	t.Helper()
+	homes := map[uint64]bool{}
+	for _, k := range keys {
+		h, ok := homeOf(tbl, k)
+		if !ok {
+			return
+		}
+		homes[h] = true
+	}
+	if len(homes) != want {
+		t.Fatalf("%T: %d keys fall into %d home slots, want %d", tbl, len(keys), len(homes), want)
+	}
 }
 
 func denseTuples(n int) []tuple.Tuple {
@@ -73,8 +123,8 @@ func TestAllTablesScrambledHash(t *testing.T) {
 	// probe sequences and CHT displacement.
 	const n = 2000
 	tuples := denseTuples(n)
-	ct := NewChainedTable(n, hashfn.Murmur)
-	lt := NewLinearTable(n, hashfn.Murmur)
+	ct := NewChainedTable(n, hashfn.Murmur, nil)
+	lt := NewLinearTable(n, 0, hashfn.Murmur, nil)
 	for _, tp := range tuples {
 		ct.Insert(tp)
 		lt.Insert(tp)
@@ -94,7 +144,7 @@ func TestAllTablesScrambledHash(t *testing.T) {
 }
 
 func TestChainedDuplicateKeys(t *testing.T) {
-	ct := NewChainedTable(16, hashfn.Identity)
+	ct := NewChainedTable(16, hashfn.Identity, nil)
 	for i := 0; i < 5; i++ {
 		ct.Insert(tuple.Tuple{Key: 7, Payload: tuple.Payload(i)})
 	}
@@ -107,7 +157,7 @@ func TestChainedDuplicateKeys(t *testing.T) {
 }
 
 func TestLinearDuplicateKeys(t *testing.T) {
-	lt := NewLinearTable(16, hashfn.Identity)
+	lt := NewLinearTable(16, 0, hashfn.Identity, nil)
 	for i := 0; i < 5; i++ {
 		lt.Insert(tuple.Tuple{Key: 3, Payload: tuple.Payload(i)})
 	}
@@ -120,25 +170,26 @@ func TestLinearDuplicateKeys(t *testing.T) {
 }
 
 func TestChainedOverflowChains(t *testing.T) {
-	// Force every key into the same bucket: constant hash.
-	constHash := func(tuple.Key) uint64 { return 0 }
-	ct := NewChainedTable(4, constHash)
+	// Force every key into the same bucket.
+	ct := NewChainedTable(4, hashfn.Identity, nil)
 	const n = 100
-	for i := 0; i < n; i++ {
-		ct.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i)})
+	keys := collidingKeys(n, 1, len(ct.buckets))
+	checkHomes(t, ct, keys, 1)
+	for i, k := range keys {
+		ct.Insert(tuple.Tuple{Key: k, Payload: tuple.Payload(i)})
 	}
 	if ct.Len() != n {
 		t.Fatalf("len = %d", ct.Len())
 	}
-	for i := 0; i < n; i++ {
-		if p, ok := ct.Lookup(tuple.Key(i)); !ok || p != tuple.Payload(i) {
-			t.Fatalf("Lookup(%d) failed after chaining", i)
+	for i, k := range keys {
+		if p, ok := ct.Lookup(k); !ok || p != tuple.Payload(i) {
+			t.Fatalf("Lookup(%d) failed after chaining", k)
 		}
 	}
 }
 
 func TestChainedReset(t *testing.T) {
-	ct := NewChainedTable(8, hashfn.Identity)
+	ct := NewChainedTable(8, hashfn.Identity, nil)
 	for i := 0; i < 32; i++ {
 		ct.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: 1})
 	}
@@ -156,7 +207,7 @@ func TestChainedReset(t *testing.T) {
 }
 
 func TestLinearReset(t *testing.T) {
-	lt := NewLinearTable(8, hashfn.Identity)
+	lt := NewLinearTable(8, 0, hashfn.Identity, nil)
 	lt.Insert(tuple.Tuple{Key: 1, Payload: 2})
 	lt.Reset()
 	if lt.Len() != 0 {
@@ -168,7 +219,7 @@ func TestLinearReset(t *testing.T) {
 }
 
 func TestArrayReset(t *testing.T) {
-	at := NewArrayTable(0, 64)
+	at := NewArrayTable(0, 64, nil)
 	at.Insert(tuple.Tuple{Key: 10, Payload: 3})
 	at.Reset()
 	if _, ok := at.Lookup(10); ok {
@@ -179,7 +230,7 @@ func TestArrayReset(t *testing.T) {
 func TestLinearConcurrentBuild(t *testing.T) {
 	const n = 1 << 14
 	const workers = 8
-	lt := NewLinearTable(n, hashfn.Identity)
+	lt := NewLinearTable(n, 0, hashfn.Identity, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -203,24 +254,24 @@ func TestLinearConcurrentBuild(t *testing.T) {
 }
 
 func TestLinearConcurrentBuildCollisions(t *testing.T) {
-	// All workers fight over a tiny probe window via a constant-ish
-	// hash, maximizing CAS contention.
-	lowHash := func(k tuple.Key) uint64 { return uint64(k) & 3 }
-	lt := NewLinearTableLoadFactor(256, 0.5, lowHash)
+	// All workers fight over a tiny probe window: every key has one of
+	// four homes, maximizing CAS contention.
+	lt := NewLinearTable(256, 0.5, hashfn.Identity, nil)
+	keys := collidingKeys(256, 4, lt.Slots())
+	checkHomes(t, lt, keys, 4)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				k := tuple.Key(w*32 + i)
+			for _, k := range keys[w*32 : (w+1)*32] {
 				lt.InsertConcurrent(tuple.Tuple{Key: k, Payload: tuple.Payload(k)})
 			}
 		}(w)
 	}
 	wg.Wait()
-	for k := tuple.Key(0); k < 256; k++ {
+	for _, k := range keys {
 		if p, ok := lt.Lookup(k); !ok || p != tuple.Payload(k) {
 			t.Fatalf("key %d lost under contention", k)
 		}
@@ -230,7 +281,7 @@ func TestLinearConcurrentBuildCollisions(t *testing.T) {
 func TestChainedConcurrentBuild(t *testing.T) {
 	const n = 1 << 13
 	const workers = 8
-	ct := NewChainedTable(n/4, hashfn.Identity) // undersized: forces chains
+	ct := NewChainedTable(n/4, hashfn.Identity, nil) // undersized: forces chains
 	// The PrepareConcurrent reservation covers the declared capacity;
 	// this build intentionally over-inserts 4x, so reserve for the real
 	// tuple count first.
@@ -260,7 +311,7 @@ func TestChainedConcurrentBuild(t *testing.T) {
 
 func TestArrayConcurrentBuild(t *testing.T) {
 	const n = 1 << 14
-	at := NewArrayTable(0, n)
+	at := NewArrayTable(0, n, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -284,7 +335,7 @@ func TestArrayConcurrentBuild(t *testing.T) {
 }
 
 func TestArrayTableBaseOffset(t *testing.T) {
-	at := NewArrayTable(1000, 100)
+	at := NewArrayTable(1000, 100, nil)
 	at.Insert(tuple.Tuple{Key: 1050, Payload: 7})
 	if p, ok := at.Lookup(1050); !ok || p != 7 {
 		t.Fatal("offset lookup failed")
@@ -301,20 +352,20 @@ func TestArrayTableBaseOffset(t *testing.T) {
 }
 
 func TestCHTOverflowPath(t *testing.T) {
-	// A constant hash pushes everything past the displacement bound.
-	constHash := func(tuple.Key) uint64 { return 5 }
-	tuples := denseTuples(300)
-	cht := BuildCHT(tuples, constHash)
+	// Keys sharing one home push everything past the displacement bound.
+	tuples, _ := chtCases["constant"].keysFor(denseTuples(300))
+	cht := BuildCHT(tuples, hashfn.Identity)
+	checkSharedHome(t, cht, tuples)
 	if cht.OverflowLen() == 0 {
-		t.Fatal("expected overflow with constant hash")
+		t.Fatal("expected overflow with one shared home")
 	}
 	if cht.Len() != 300 {
 		t.Fatalf("len = %d", cht.Len())
 	}
-	for i := 0; i < 300; i++ {
-		p, ok := cht.Lookup(tuple.Key(i))
+	for i, tp := range tuples {
+		p, ok := cht.Lookup(tp.Key)
 		if !ok || p != tuple.Payload(i*3) {
-			t.Fatalf("Lookup(%d) through overflow failed", i)
+			t.Fatalf("Lookup(%d) through overflow failed", tp.Key)
 		}
 	}
 }
@@ -332,7 +383,7 @@ func TestCHTSpaceEfficiency(t *testing.T) {
 	const n = 1 << 14
 	tuples := denseTuples(n)
 	cht := BuildCHT(tuples, hashfn.Identity)
-	lt := NewLinearTable(n, hashfn.Identity)
+	lt := NewLinearTable(n, 0, hashfn.Identity, nil)
 	for _, tp := range tuples {
 		lt.Insert(tp)
 	}
@@ -345,7 +396,7 @@ func TestCHTParallelRegionBuild(t *testing.T) {
 	const n = 1 << 13
 	const regions = 8
 	tuples := denseTuples(n)
-	b := NewCHTBuilder(n, regions, hashfn.Identity)
+	b := NewCHTBuilder(n, regions, hashfn.Identity, nil)
 	parts := make([][]tuple.Tuple, b.Regions())
 	for _, tp := range tuples {
 		r := b.RegionOf(tp.Key)
@@ -378,7 +429,7 @@ func TestCHTParallelRegionBuild(t *testing.T) {
 }
 
 func TestCHTRegionBuilderClampsRegions(t *testing.T) {
-	b := NewCHTBuilder(4, 1024, hashfn.Identity)
+	b := NewCHTBuilder(4, 1024, hashfn.Identity, nil)
 	if b.Regions() > 1024 || b.Regions() < 1 {
 		t.Fatalf("regions = %d", b.Regions())
 	}
@@ -401,7 +452,7 @@ func TestCHTEmpty(t *testing.T) {
 // Property test: for random key/payload sets with random hash choice,
 // every inserted tuple is found and no phantom appears, on every design.
 func TestTablesProperty(t *testing.T) {
-	hashes := []hashfn.Func{hashfn.Identity, hashfn.Murmur, hashfn.Multiplicative}
+	hashes := []hashfn.Hash{hashfn.Identity, hashfn.Murmur, hashfn.Multiplicative}
 	f := func(keysRaw []uint16, hsel uint8) bool {
 		// Deduplicate keys (the paper's build sides are unique PKs).
 		seen := map[tuple.Key]bool{}
@@ -416,9 +467,9 @@ func TestTablesProperty(t *testing.T) {
 		}
 		h := hashes[int(hsel)%len(hashes)]
 		tables := map[string]Table{}
-		ct := NewChainedTable(len(tuples), h)
-		lt := NewLinearTable(len(tuples), h)
-		at := NewArrayTable(0, 1<<16)
+		ct := NewChainedTable(len(tuples), h, nil)
+		lt := NewLinearTable(len(tuples), 0, h, nil)
+		at := NewArrayTable(0, 1<<16, nil)
 		for _, tp := range tuples {
 			ct.Insert(tp)
 			lt.Insert(tp)
@@ -448,10 +499,12 @@ func TestTablesProperty(t *testing.T) {
 }
 
 func TestChainedSizeBytesGrowsWithOverflow(t *testing.T) {
-	ct := NewChainedTable(4, func(tuple.Key) uint64 { return 0 })
+	ct := NewChainedTable(4, hashfn.Identity, nil)
+	keys := collidingKeys(64, 1, len(ct.buckets))
+	checkHomes(t, ct, keys, 1)
 	before := ct.SizeBytes()
-	for i := 0; i < 64; i++ {
-		ct.Insert(tuple.Tuple{Key: tuple.Key(i)})
+	for _, k := range keys {
+		ct.Insert(tuple.Tuple{Key: k})
 	}
 	if ct.SizeBytes() <= before {
 		t.Fatal("overflow buckets not accounted")
@@ -459,7 +512,7 @@ func TestChainedSizeBytesGrowsWithOverflow(t *testing.T) {
 }
 
 func TestLinearTableFullPanics(t *testing.T) {
-	lt := NewLinearTableLoadFactor(2, 1.0, hashfn.Identity) // 4 slots
+	lt := NewLinearTable(2, 1.0, hashfn.Identity, nil) // 4 slots
 	for i := 0; i < 4; i++ {
 		lt.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: 0})
 	}
@@ -472,7 +525,7 @@ func TestLinearTableFullPanics(t *testing.T) {
 }
 
 func TestLinearTableLookupTerminatesWhenFull(t *testing.T) {
-	lt := NewLinearTableLoadFactor(2, 1.0, hashfn.Identity)
+	lt := NewLinearTable(2, 1.0, hashfn.Identity, nil)
 	for i := 0; i < lt.Slots(); i++ {
 		lt.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i)})
 	}
@@ -489,7 +542,7 @@ func TestLinearTableLookupTerminatesWhenFull(t *testing.T) {
 }
 
 func TestArrayTableOutOfDomainPanics(t *testing.T) {
-	at := NewArrayTable(0, 8)
+	at := NewArrayTable(0, 8, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-domain insert did not panic")

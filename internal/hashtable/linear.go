@@ -21,8 +21,7 @@ type LinearTable struct {
 	keys     []uint32 // biased key + 1; 0 = empty
 	payloads []tuple.Payload
 	mask     uint64
-	hash     hashfn.Func
-	hashB    hashfn.BatchFunc
+	hash     hashfn.Hash
 	n        int64
 	matched  []uint64 // slot-mark bitmap; empty unless tracking
 
@@ -36,43 +35,18 @@ type LinearTable struct {
 // sequences short.
 const DefaultLinearLoadFactor = 0.5
 
-// NewLinearTable creates a table for n tuples at the default load
-// factor.
-func NewLinearTable(n int, hash hashfn.Func) *LinearTable {
-	return NewLinearTableLoadFactor(n, DefaultLinearLoadFactor, hash)
-}
-
-// NewLinearTableLoadFactor creates a table for n tuples sized so the
-// fill grade stays at or below load.
-func NewLinearTableLoadFactor(n int, load float64, hash hashfn.Func) *LinearTable {
-	return NewLinearTableLoadFactorArena(n, load, hash, nil)
-}
-
-// NewLinearTableArena is NewLinearTable with the slot arrays drawn from
-// the arena (possibly off-heap; both arrays are pointer-free uint32
-// words). The caller owns the storage and must call Free when done; a
-// nil arena gives plain heap allocation.
-func NewLinearTableArena(n int, hash hashfn.Func, a *exec.Arena) *LinearTable {
-	return NewLinearTableLoadFactorArena(n, DefaultLinearLoadFactor, hash, a)
-}
-
-// NewLinearTableLoadFactorArena is NewLinearTableLoadFactor with
-// arena-drawn slot arrays; see NewLinearTableArena.
-func NewLinearTableLoadFactorArena(n int, load float64, hash hashfn.Func, a *exec.Arena) *LinearTable {
+// NewLinearTable creates a table for n tuples sized so the fill grade
+// stays at or below load (<= 0 means DefaultLinearLoadFactor). The slot
+// arrays come from the arena a (possibly off-heap; both are
+// pointer-free uint32 words), and the caller must call Free when done;
+// a nil arena means the heap.
+func NewLinearTable(n int, load float64, hash hashfn.Hash, a *exec.Arena) *LinearTable {
 	checkCapacity(n)
-	if hash == nil {
-		hash = hashfn.Identity
-	}
 	if load <= 0 || load > 1 {
 		load = DefaultLinearLoadFactor
 	}
 	slots := NextPow2(int(float64(n)/load) + 1)
-	t := &LinearTable{
-		mask:  uint64(slots - 1),
-		hash:  hash,
-		hashB: hashfn.BatchFor(hash),
-		a:     a,
-	}
+	t := &LinearTable{mask: uint64(slots - 1), hash: hash, a: a}
 	if a != nil {
 		// Payload is a uint32 alias, so both arrays come straight from
 		// the arena's zeroed uint32 class.
@@ -107,7 +81,7 @@ func (t *LinearTable) Slots() int { return len(t.keys) }
 //mmjoin:hotpath
 func (t *LinearTable) Insert(tp tuple.Tuple) {
 	biased := uint32(tp.Key) + 1
-	i := t.hash(tp.Key) & t.mask
+	i := t.hash.Scalar(tp.Key) & t.mask
 	for probes := 0; probes <= int(t.mask); probes++ {
 		if t.keys[i] == 0 {
 			t.keys[i] = biased
@@ -130,7 +104,7 @@ func (t *LinearTable) Insert(tp tuple.Tuple) {
 //mmjoin:hotpath
 func (t *LinearTable) InsertConcurrent(tp tuple.Tuple) {
 	biased := uint32(tp.Key) + 1
-	i := t.hash(tp.Key) & t.mask
+	i := t.hash.Scalar(tp.Key) & t.mask
 	for probes := 0; probes <= int(t.mask); probes++ {
 		if atomic.LoadUint32(&t.keys[i]) == 0 &&
 			atomic.CompareAndSwapUint32(&t.keys[i], 0, biased) {
@@ -151,7 +125,7 @@ func (t *LinearTable) InsertConcurrent(tp tuple.Tuple) {
 //mmjoin:hotpath
 func (t *LinearTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	biased := uint32(k) + 1
-	i := t.hash(k) & t.mask
+	i := t.hash.Scalar(k) & t.mask
 	for probes := 0; probes <= int(t.mask); probes++ {
 		cur := t.keys[i]
 		if cur == biased {

@@ -22,8 +22,7 @@ type RobinHoodTable struct {
 	payloads []tuple.Payload
 	dist     []uint8 // probe distance from home bucket, saturated at 255
 	mask     uint64
-	hash     hashfn.Func
-	hashB    hashfn.BatchFunc
+	hash     hashfn.Hash
 	n        int
 	matched  []uint64 // slot-mark bitmap; empty unless tracking
 
@@ -35,30 +34,17 @@ type RobinHoodTable struct {
 }
 
 // NewRobinHoodTable creates a table for n tuples at the given load
-// factor (<=0 defaults to the linear table's 50%).
-func NewRobinHoodTable(n int, load float64, hash hashfn.Func) *RobinHoodTable {
-	return NewRobinHoodTableArena(n, load, hash, nil)
-}
-
-// NewRobinHoodTableArena is NewRobinHoodTable with the slot arrays
-// drawn from the arena (possibly off-heap; all three are pointer-free).
-// The caller owns the storage and must call Free when done; a nil arena
-// gives plain heap allocation.
-func NewRobinHoodTableArena(n int, load float64, hash hashfn.Func, a *exec.Arena) *RobinHoodTable {
+// factor (<= 0 defaults to the linear table's 50%). The slot arrays
+// come from the arena a (possibly off-heap; all three are
+// pointer-free), and the caller must call Free when done; a nil arena
+// means the heap.
+func NewRobinHoodTable(n int, load float64, hash hashfn.Hash, a *exec.Arena) *RobinHoodTable {
 	checkCapacity(n)
-	if hash == nil {
-		hash = hashfn.Identity
-	}
 	if load <= 0 || load > 1 {
 		load = DefaultLinearLoadFactor
 	}
 	slots := NextPow2(int(float64(n)/load) + 1)
-	t := &RobinHoodTable{
-		mask:  uint64(slots - 1),
-		hash:  hash,
-		hashB: hashfn.BatchFor(hash),
-		a:     a,
-	}
+	t := &RobinHoodTable{mask: uint64(slots - 1), hash: hash, a: a}
 	if a != nil {
 		t.keys = a.Uint32s(slots)
 		t.payloads = a.Uint32s(slots)
@@ -91,7 +77,7 @@ func (t *RobinHoodTable) Free() {
 func (t *RobinHoodTable) Insert(tp tuple.Tuple) {
 	key := uint32(tp.Key) + 1
 	payload := tp.Payload
-	i := t.hash(tp.Key) & t.mask
+	i := t.hash.Scalar(tp.Key) & t.mask
 	var d uint8
 	for probes := 0; probes <= int(t.mask); probes++ {
 		if t.keys[i] == 0 {
@@ -132,7 +118,7 @@ func (t *RobinHoodTable) Reset() {
 // on.
 func (t *RobinHoodTable) Lookup(k tuple.Key) (tuple.Payload, bool) {
 	key := uint32(k) + 1
-	i := t.hash(k) & t.mask
+	i := t.hash.Scalar(k) & t.mask
 	var d uint8
 	for probes := 0; probes <= int(t.mask); probes++ {
 		cur := t.keys[i]

@@ -23,8 +23,7 @@ import (
 type SparseTable struct {
 	groups  []sparseGroup
 	mask    uint64 // bucket count - 1
-	hash    hashfn.Func
-	hashB   hashfn.BatchFunc
+	hash    hashfn.Hash
 	n       int
 	deleted int
 
@@ -46,10 +45,7 @@ type sparseGroup struct {
 const sparseBucketsPerTuple = 8
 
 // NewSparseTable creates a table for about n tuples.
-func NewSparseTable(n int, hash hashfn.Func) *SparseTable {
-	if hash == nil {
-		hash = hashfn.Identity
-	}
+func NewSparseTable(n int, hash hashfn.Hash) *SparseTable {
 	buckets := NextPow2(max(n, 4)) * sparseBucketsPerTuple
 	if buckets < 32 {
 		buckets = 32
@@ -58,13 +54,12 @@ func NewSparseTable(n int, hash hashfn.Func) *SparseTable {
 		groups: make([]sparseGroup, buckets/32),
 		mask:   uint64(buckets - 1),
 		hash:   hash,
-		hashB:  hashfn.BatchFor(hash),
 	}
 }
 
 // bucketOf spreads the hash over the bitmap like the CHT does.
 func (t *SparseTable) bucketOf(k tuple.Key) uint64 {
-	return (t.hash(k) * sparseBucketsPerTuple) & t.mask
+	return (t.hash.Scalar(k) * sparseBucketsPerTuple) & t.mask
 }
 
 // denseIndex returns the position of bucket `off` within its group's

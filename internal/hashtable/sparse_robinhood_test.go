@@ -29,14 +29,22 @@ func TestSparseTableDense(t *testing.T) {
 }
 
 func TestSparseTableCollisions(t *testing.T) {
-	constHash := func(tuple.Key) uint64 { return 3 }
-	st := NewSparseTable(64, constHash)
-	for i := 0; i < 200; i++ {
-		st.Insert(tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i)})
+	// Every key has home bucket 8*3: the table spreads the hash over
+	// its buckets by sparseBucketsPerTuple, so keys 3 + i*slots collide
+	// for slots = buckets/sparseBucketsPerTuple.
+	st := NewSparseTable(64, hashfn.Identity)
+	slots := int(st.mask+1) / sparseBucketsPerTuple
+	keys := collidingKeys(200, 1, slots)
+	for i := range keys {
+		keys[i] += 3
 	}
-	for i := 0; i < 200; i++ {
-		if p, ok := st.Lookup(tuple.Key(i)); !ok || p != tuple.Payload(i) {
-			t.Fatalf("key %d lost under collisions", i)
+	checkHomes(t, st, keys, 1)
+	for i, k := range keys {
+		st.Insert(tuple.Tuple{Key: k, Payload: tuple.Payload(i)})
+	}
+	for i, k := range keys {
+		if p, ok := st.Lookup(k); !ok || p != tuple.Payload(i) {
+			t.Fatalf("key %d lost under collisions", k)
 		}
 	}
 }
@@ -84,7 +92,7 @@ func TestSparseTableSpaceComparableToCHT(t *testing.T) {
 	for _, tp := range tuples {
 		st.Insert(tp)
 	}
-	lt := NewLinearTable(n, hashfn.Identity)
+	lt := NewLinearTable(n, 0, hashfn.Identity, nil)
 	for _, tp := range tuples {
 		lt.Insert(tp)
 	}
@@ -132,7 +140,7 @@ func TestSparseTableProperty(t *testing.T) {
 
 func TestRobinHoodDense(t *testing.T) {
 	const n = 4096
-	rh := NewRobinHoodTable(n, 0, hashfn.Identity)
+	rh := NewRobinHoodTable(n, 0, hashfn.Identity, nil)
 	for _, tp := range denseTuples(n) {
 		rh.Insert(tp)
 	}
@@ -154,7 +162,7 @@ func TestRobinHoodHighLoadFactor(t *testing.T) {
 	// Robin Hood's raison d'être: stays correct and bounded at 90% load
 	// with a colliding hash.
 	const n = 1000
-	rh := NewRobinHoodTable(n, 0.9, hashfn.Multiplicative)
+	rh := NewRobinHoodTable(n, 0.9, hashfn.Multiplicative, nil)
 	for i := 0; i < n; i++ {
 		rh.Insert(tuple.Tuple{Key: tuple.Key(i * 13), Payload: tuple.Payload(i)})
 	}
@@ -170,7 +178,7 @@ func TestRobinHoodHighLoadFactor(t *testing.T) {
 }
 
 func TestRobinHoodDuplicates(t *testing.T) {
-	rh := NewRobinHoodTable(32, 0, hashfn.Identity)
+	rh := NewRobinHoodTable(32, 0, hashfn.Identity, nil)
 	for i := 0; i < 5; i++ {
 		rh.Insert(tuple.Tuple{Key: 7, Payload: tuple.Payload(i)})
 	}
@@ -183,14 +191,25 @@ func TestRobinHoodDuplicates(t *testing.T) {
 }
 
 func TestRobinHoodEqualizesProbeDistances(t *testing.T) {
-	// With a clustering hash, Robin Hood's max probe distance must be
-	// at most the plain linear table's.
-	clusterHash := func(k tuple.Key) uint64 { return uint64(k) / 8 }
+	// With clustered keys — runs of 8 sharing one home — Robin Hood's
+	// max probe distance must be at most the plain linear table's.
 	const n = 512
-	rh := NewRobinHoodTable(n, 0.7, clusterHash)
-	lt := NewLinearTableLoadFactor(n, 0.7, clusterHash)
-	for i := 0; i < n; i++ {
-		tp := tuple.Tuple{Key: tuple.Key(i), Payload: tuple.Payload(i)}
+	rh := NewRobinHoodTable(n, 0.7, hashfn.Identity, nil)
+	lt := NewLinearTable(n, 0.7, hashfn.Identity, nil)
+	// Key i has home i/8: i/8 + (i%8)*slots.
+	keys := make([]tuple.Key, n)
+	for i := range keys {
+		keys[i] = tuple.Key(i/8 + i%8*lt.Slots())
+	}
+	for _, tbl := range []Table{rh, lt} {
+		for i, k := range keys {
+			if h, _ := homeOf(tbl, k); h != uint64(i/8) {
+				t.Fatalf("%T: key %d has home %d, want %d", tbl, k, h, i/8)
+			}
+		}
+	}
+	for i, k := range keys {
+		tp := tuple.Tuple{Key: k, Payload: tuple.Payload(i)}
 		rh.Insert(tp)
 		lt.Insert(tp)
 	}
@@ -202,9 +221,8 @@ func TestRobinHoodEqualizesProbeDistances(t *testing.T) {
 	}
 	// Linear max displacement: walk each key's probe length.
 	maxLT := 0
-	for i := 0; i < n; i++ {
-		k := tuple.Key(i)
-		home := clusterHash(k) & lt.mask
+	for _, k := range keys {
+		home, _ := homeOf(lt, k)
 		j := home
 		steps := 0
 		for lt.keys[j] != uint32(k)+1 {
@@ -223,7 +241,7 @@ func TestRobinHoodEqualizesProbeDistances(t *testing.T) {
 func TestRobinHoodProperty(t *testing.T) {
 	f := func(keysRaw []uint16) bool {
 		seen := map[tuple.Key]bool{}
-		rh := NewRobinHoodTable(len(keysRaw)+1, 0, hashfn.Murmur)
+		rh := NewRobinHoodTable(len(keysRaw)+1, 0, hashfn.Murmur, nil)
 		var inserted []tuple.Tuple
 		for i, kr := range keysRaw {
 			k := tuple.Key(kr)

@@ -49,8 +49,9 @@ type Options struct {
 	// 0 selects Equation (1) via radix.PredictBits (except PRB, which
 	// keeps its fixed 7+7 two-pass split from Balkesen et al.).
 	RadixBits uint
-	// Hash overrides the hash function (default identity, Section 7.1).
-	Hash hashfn.Func
+	// Hash selects the hash function; the zero value is identity, the
+	// paper's default (Section 7.1).
+	Hash hashfn.Hash
 	// Domain is the key-domain size for the array joins (keys are in
 	// [0, Domain)). 0 derives it from the maximum build key.
 	Domain int
@@ -166,9 +167,6 @@ func (o *Options) normalize() Options {
 	}
 	if out.Threads < 1 {
 		out.Threads = 1
-	}
-	if out.Hash == nil {
-		out.Hash = hashfn.Identity
 	}
 	if out.Topology.Nodes == 0 {
 		out.Topology = numa.PaperTopology()

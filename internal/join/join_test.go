@@ -1,11 +1,13 @@
 package join
 
 import (
+	"context"
 	"encoding/json"
 	"sort"
 	"testing"
 
 	"mmjoin/internal/datagen"
+	"mmjoin/internal/hashfn"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/tuple"
 )
@@ -183,16 +185,34 @@ func TestAllJoinsScrambledHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The array joins ignore the hash; the rest must survive murmur.
-	runAll(t, w, Options{Threads: 4, Hash: murmurForTest})
-}
-
-func murmurForTest(k tuple.Key) uint64 {
-	h := uint64(k)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
+	ref, err := (Reference{}).Run(w.Build, w.Probe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The array joins ignore the hash; the rest must survive every
+	// scrambler, also in the right outer join, whose build padding reads
+	// the tables' match marks, and as a cached table of every design.
+	for _, h := range []hashfn.Hash{hashfn.Multiplicative, hashfn.Murmur, hashfn.CRC} {
+		for _, kind := range []Kind{Inner, RightOuter} {
+			runAll(t, w, Options{Threads: 4, Hash: h, Kind: kind})
+		}
+		for _, design := range TableDesigns() {
+			opts := &Options{Threads: 4, Domain: w.Domain, Hash: h}
+			bt, err := BuildTable(context.Background(), w.Build, design, opts)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", h, design, err)
+			}
+			res, err := ProbeTable(context.Background(), bt, w.Probe, opts)
+			bt.Release()
+			if err != nil {
+				t.Fatalf("%v/%v: %v", h, design, err)
+			}
+			if res.Matches != ref.Matches || res.Checksum != ref.Checksum {
+				t.Errorf("%v/%v: cached probe = %d matches sum %x, reference %d sum %x",
+					h, design, res.Matches, res.Checksum, ref.Matches, ref.Checksum)
+			}
+		}
+	}
 }
 
 func TestMWAYRejectsNonPowerOfTwoThreads(t *testing.T) {

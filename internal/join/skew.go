@@ -31,7 +31,7 @@ type partTask struct {
 	// split marks tasks probing a range of an oversized partition
 	// against its prebuilt shared table.
 	split   bool
-	probeLo int // index into the concatenated probe fragments
+	probeLo int // tuple range over the partition's probe fragments
 	probeHi int
 }
 
@@ -86,11 +86,10 @@ type joinPhase struct {
 	buildLen               func(p int) int
 
 	states []*workerState
-	// split lists the split partitions in ascending order; shared and
-	// sharedProbe hold each one's prebuilt table and probe-side copy.
-	split       []int
-	shared      map[int]partTable
-	sharedProbe map[int]tuple.Relation
+	// split lists the split partitions in ascending order; shared holds
+	// each one's prebuilt table.
+	split  []int
+	shared map[int]partTable
 }
 
 // workerState holds one worker's reusable join table, so that thousands
@@ -109,11 +108,11 @@ type workerState struct {
 // split, then one "join" phase that pops the tasks off a LIFO stack (in
 // reverse of their order) and runs joinPartition for each. Both run on
 // the caller's pool, so cancellation propagates and the phases show up
-// in the execution stats. All table storage and probe copies go back
-// to the arena on every exit.
+// in the execution stats. All table storage goes back to the arena on
+// every exit.
 func (ph *joinPhase) run(pool *exec.Pool, sinks []sink) error {
 	ph.states = make([]*workerState, pool.Threads())
-	defer ph.release(pool.Arena())
+	defer ph.release()
 	if err := ph.prebuild(pool); err != nil {
 		return err
 	}
@@ -132,8 +131,7 @@ func (ph *joinPhase) run(pool *exec.Pool, sinks []sink) error {
 }
 
 // prebuild builds every split partition's shared table through the
-// build half, one partition per task, and copies its probe side once so
-// the split tasks can range over it.
+// build half, one partition per task.
 func (ph *joinPhase) prebuild(pool *exec.Pool) error {
 	for i, t := range ph.tasks {
 		if t.split && (i == 0 || ph.tasks[i-1].part != t.part) {
@@ -145,7 +143,6 @@ func (ph *joinPhase) prebuild(pool *exec.Pool) error {
 	}
 	sort.Ints(ph.split)
 	ph.shared = make(map[int]partTable, len(ph.split))
-	ph.sharedProbe = make(map[int]tuple.Relation, len(ph.split))
 	var mu sync.Mutex
 	return pool.RunQueue("skew-prebuild", exec.NewRange(len(ph.split)), func(w *exec.Worker, i int) {
 		p := ph.split[i]
@@ -158,13 +155,9 @@ func (ph *joinPhase) prebuild(pool *exec.Pool) error {
 			// the unmatched post-pass runs once after the join phase.
 			ht.EnableMatchTracking()
 		}
-		wk.probeScratch = ph.probeFrags(wk.probeScratch[:0], p)
-		probe := concatFragments(pool.Arena(), wk.probeScratch)
-		w.AddBytes(2 * int64(len(probe)) * tuple.Bytes) // read + write of the copy
-		w.AddAllocs(2)                                  // shared table + probe copy
+		w.AddAllocs(1) // the shared table
 		mu.Lock()
 		ph.shared[p] = ht
-		ph.sharedProbe[p] = probe
 		mu.Unlock()
 	})
 }
@@ -193,13 +186,8 @@ func (ph *joinPhase) joinPartition(w *exec.Worker, wk *workerState, t partTask, 
 	var probeFrags []tuple.Relation
 	if t.split {
 		ht = ph.shared[t.part]
-		probe := ph.sharedProbe[t.part]
-		// planTasks keeps every range inside the copy; the guard
-		// restates that for the prove pass.
-		if t.probeLo < 0 || t.probeLo > t.probeHi || t.probeHi > len(probe) {
-			return
-		}
-		probeFrags = wk.batch.run(probe[t.probeLo:t.probeHi])
+		wk.probeScratch = ph.probeFrags(wk.probeScratch[:0], t.part)
+		probeFrags = cutFrags(wk.probeScratch, t.probeLo, t.probeHi)
 	} else {
 		n := ph.buildLen(t.part)
 		if n == 0 && !o.Kind.padsProbe() {
@@ -255,20 +243,19 @@ func (ph *joinPhase) tableFor(wk *workerState, n int) partTable {
 func (ph *joinPhase) newTable(n int) (partTable, int) {
 	switch ph.design {
 	case DesignChained:
-		return hashtable.NewChainedTableArena(n, ph.o.Hash, ph.o.Arena), n
+		return hashtable.NewChainedTable(n, ph.o.Hash, ph.o.Arena), n
 	case DesignLinear:
-		t := hashtable.NewLinearTableArena(n, ph.o.Hash, ph.o.Arena)
+		t := hashtable.NewLinearTable(n, 0, ph.o.Hash, ph.o.Arena)
 		return t, t.Slots() / 2
 	default:
-		return hashtable.NewArrayTableArena(0, ph.domainPerPart, ph.o.Arena), math.MaxInt
+		return hashtable.NewArrayTable(0, ph.domainPerPart, ph.o.Arena), math.MaxInt
 	}
 }
 
-// release returns the workers' tables, the shared tables and the probe
-// copies to the arena. With an arena-backed (possibly off-heap) run the
-// storage is invisible to the GC, so an unfreed table is a real leak,
-// not garbage.
-func (ph *joinPhase) release(a *exec.Arena) {
+// release returns the workers' tables and the shared tables to the
+// arena. With an arena-backed (possibly off-heap) run the storage is
+// invisible to the GC, so an unfreed table is a real leak, not garbage.
+func (ph *joinPhase) release() {
 	for _, wk := range ph.states {
 		if wk != nil && wk.table != nil {
 			wk.table.Free()
@@ -277,24 +264,24 @@ func (ph *joinPhase) release(a *exec.Arena) {
 	for _, ht := range ph.shared {
 		ht.Free()
 	}
-	for _, probe := range ph.sharedProbe {
-		a.PutTuples(probe)
-	}
 }
 
-// concatFragments flattens per-chunk fragments into one slice so probe
-// ranges can be split by index. Regular (non-split) tasks avoid this
-// copy. The buffer comes from the arena; the caller returns it with
-// PutTuples once the join phase is done.
-func concatFragments(a *exec.Arena, frags []tuple.Relation) tuple.Relation {
-	n := 0
+// cutFrags cuts the tuple range [lo, hi) of the fragments' concatenation
+// out of the fragment list, in place: fragments outside the range go,
+// the two at its ends are trimmed. Split tasks probe their range this
+// way, straight off the partition's fragments. It runs once per task and
+// stays out of line, so its bounds checks stay out of joinPartition's
+// //mmjoin:bce region.
+//
+//go:noinline
+func cutFrags(frags []tuple.Relation, lo, hi int) []tuple.Relation {
+	n, off := 0, 0
 	for _, f := range frags {
-		n += len(f)
+		if flo, fhi := max(lo-off, 0), min(hi-off, len(f)); flo < fhi {
+			frags[n] = f[flo:fhi]
+			n++
+		}
+		off += len(f)
 	}
-	out := a.Tuples(n)
-	off := 0
-	for _, f := range frags {
-		off += copy(out[off:], f)
-	}
-	return out[:off]
+	return frags[:n]
 }

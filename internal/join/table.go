@@ -290,7 +290,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 	case DesignChained:
 		var t *hashtable.ChainedTable
 		err = concurrentBuild(func() batchConcurrentBuildTable {
-			t = hashtable.NewChainedTableArena(len(build), o.Hash, o.Arena)
+			t = hashtable.NewChainedTable(len(build), o.Hash, o.Arena)
 			t.PrepareConcurrent()
 			table, free = t, t.Free
 			return t
@@ -300,7 +300,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 		}
 	case DesignLinear:
 		err = concurrentBuild(func() batchConcurrentBuildTable {
-			t := hashtable.NewLinearTableArena(len(build), o.Hash, o.Arena)
+			t := hashtable.NewLinearTable(len(build), 0, o.Hash, o.Arena)
 			table, free = t, t.Free
 			return t
 		})
@@ -311,7 +311,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 			if domain == 0 {
 				domain = maxKeyDomain(build)
 			}
-			t = hashtable.NewArrayTableArena(0, domain, o.Arena)
+			t = hashtable.NewArrayTable(0, domain, o.Arena)
 			table, free = t, t.Free
 			return t
 		})
@@ -320,7 +320,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 		}
 	case DesignRobinHood:
 		err = singleWriterBuild(func() func(tuple.Tuple) {
-			t := hashtable.NewRobinHoodTableArena(len(build), 0, o.Hash, o.Arena)
+			t := hashtable.NewRobinHoodTable(len(build), 0, o.Hash, o.Arena)
 			table, free = t, t.Free
 			return t.Insert
 		})
@@ -352,13 +352,7 @@ func buildGlobal(pool *exec.Pool, build tuple.Relation, design TableDesign, o *O
 // first claim allocates the table), then scatter every region into the
 // dense array. The returned free releases the table, also on error.
 func bulkloadCHT(pool *exec.Pool, build tuple.Relation, buildChunks []tuple.Chunk, o *Options) (joinTable, func(), error) {
-	// Spread the hash over the 8n bitmap buckets: multiplying by the
-	// buckets-per-tuple factor maps a hash that is uniform over n table
-	// slots to one uniform over the bitmap, and keeps the identity hash
-	// collision-free for dense keys.
-	userHash := o.Hash
-	b := hashtable.NewCHTBuilderArena(len(build), o.Threads,
-		func(k tuple.Key) uint64 { return userHash(k) * 8 }, o.Arena)
+	b := hashtable.NewCHTBuilder(len(build), o.Threads, o.Hash, o.Arena)
 	regions := b.Regions()
 	// The bulkload pulls region tasks in FIFO order (Exec.Queue).
 	pool.SetQueueStrategy("fifo")

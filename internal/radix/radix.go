@@ -12,8 +12,8 @@
 //     core of the CPRL/CPRA contribution;
 //   - the Equation (1) predictor for the optimal number of radix bits.
 //
-// Partitioning always uses the low `bits` bits of the key (see
-// hashfn.RadixBits), matching the dense-key workloads of the study.
+// Partitioning always uses the low `bits` bits of the key, matching the
+// dense-key workloads of the study.
 //
 // All parallel phases run on an exec.Pool: the *Exec entry points take
 // a pool (carrying context, worker count, and buffer arena) and return

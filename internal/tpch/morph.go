@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/hashfn"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/tuple"
 )
@@ -63,7 +64,7 @@ func RunMorph(tb *Tables, variant, threads int) (*QueryResult, error) {
 	pool := exec.NewPool(context.Background(), threads)
 
 	start := time.Now()
-	lt := hashtable.NewLinearTable(p.NumTuples, nil)
+	lt := hashtable.NewLinearTable(p.NumTuples, 0, hashfn.Identity, nil)
 	buildChunks := tuple.Chunks(p.NumTuples, threads)
 	_ = pool.Run("build", func(wk *exec.Worker) {
 		w := wk.ID

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/hashfn"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
 	"mmjoin/internal/tuple"
@@ -85,7 +86,7 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 	var lt *hashtable.LinearTable
 	buildChunks := tuple.Chunks(p.NumTuples, threads)
 	if array {
-		at = hashtable.NewArrayTable(0, p.NumTuples)
+		at = hashtable.NewArrayTable(0, p.NumTuples, nil)
 		_ = pool.Run("build", func(wk *exec.Worker) {
 			w := wk.ID
 			c := buildChunks[w]
@@ -95,7 +96,7 @@ func q19NoPartition(tb *Tables, threads int, array bool) (*QueryResult, error) {
 		})
 		at.FinishConcurrentBuild()
 	} else {
-		lt = hashtable.NewLinearTable(p.NumTuples, nil)
+		lt = hashtable.NewLinearTable(p.NumTuples, 0, hashfn.Identity, nil)
 		_ = pool.Run("build", func(wk *exec.Worker) {
 			w := wk.ID
 			c := buildChunks[w]
@@ -174,7 +175,7 @@ func q19Chunked(tb *Tables, threads int, array bool) (*QueryResult, error) {
 		var at *hashtable.ArrayTable
 		var lt *hashtable.LinearTable
 		if array {
-			at = hashtable.NewArrayTable(0, domainPerPart)
+			at = hashtable.NewArrayTable(0, domainPerPart, nil)
 		}
 		for {
 			part, ok := queue.Pop()
@@ -194,7 +195,7 @@ func q19Chunked(tb *Tables, threads int, array bool) (*QueryResult, error) {
 				}
 			} else {
 				if lt == nil || n*2 > lt.Slots() {
-					lt = hashtable.NewLinearTable(n, nil)
+					lt = hashtable.NewLinearTable(n, 0, hashfn.Identity, nil)
 				} else {
 					lt.Reset()
 				}

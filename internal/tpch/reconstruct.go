@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mmjoin/internal/exec"
+	"mmjoin/internal/hashfn"
 	"mmjoin/internal/hashtable"
 	"mmjoin/internal/radix"
 	"mmjoin/internal/tuple"
@@ -78,7 +79,7 @@ func RunQ19Compacted(tb *Tables, algo string, threads int) (*QueryResult, error)
 		var at *hashtable.ArrayTable
 		var lt *hashtable.LinearTable
 		if array {
-			at = hashtable.NewArrayTable(0, domainPerPart)
+			at = hashtable.NewArrayTable(0, domainPerPart, nil)
 		}
 		for {
 			part, ok := queue.Pop()
@@ -98,7 +99,7 @@ func RunQ19Compacted(tb *Tables, algo string, threads int) (*QueryResult, error)
 				}
 			} else {
 				if lt == nil || n*2 > lt.Slots() {
-					lt = hashtable.NewLinearTable(n, nil)
+					lt = hashtable.NewLinearTable(n, 0, hashfn.Identity, nil)
 				} else {
 					lt.Reset()
 				}
