@@ -27,11 +27,12 @@ var ArenaPair = &Analyzer{
 func runArenaPair(pass *Pass) {
 	spec := &pairSpec{
 		what:        "arena buffer",
+		verb:        "released",
 		acquire:     arenaAcquire,
 		resultIndex: 0,
 		release:     arenaRelease,
 		releaseHint: func(varName string) string {
-			return "defer arena.Put...(" + varName + ") (or hand it off)"
+			return "release it with defer arena.Put...(" + varName + ") (or hand it off)"
 		},
 	}
 	forEachFunctionBody(pass, func(body *ast.BlockStmt) { checkPairs(pass, body, spec) })

@@ -6,9 +6,8 @@ import (
 	"go/types"
 )
 
-// pairflow is the shared acquire/release engine behind arenapair and
-// spillclose (spanpair predates it and keeps its span-specific shape).
-// The model mirrors spanpair's two passes per function body:
+// pairflow is the shared acquire/release engine behind spanpair,
+// arenapair and spillclose. It makes two passes per function body:
 //
 //  1. find acquire calls and how their result is bound — a dropped or
 //     blank-bound result can never be released and is reported
@@ -30,6 +29,9 @@ import (
 type pairSpec struct {
 	// what names the resource in messages, e.g. "arena buffer".
 	what string
+	// verb is the release's past participle in messages: "released",
+	// or "ended" for spans.
+	verb string
 	// acquire classifies call as an acquisition; the string is the
 	// rendered call for messages (e.g. "arena.Tuples").
 	acquire func(info *types.Info, call *ast.CallExpr) (string, bool)
@@ -44,8 +46,8 @@ type pairSpec struct {
 	// beyond the engine's defaults (e.g. non-closing method calls on
 	// the resource).
 	benign func(info *types.Info, id *ast.Ident, parents []ast.Node) bool
-	// releaseHint completes "release it with ..." in messages, given
-	// the variable name.
+	// releaseHint ends every message with the fix, given the variable
+	// name, e.g. "release it with v.Close()".
 	releaseHint func(varName string) string
 }
 
@@ -76,7 +78,7 @@ func checkPairs(pass *Pass, body *ast.BlockStmt, spec *pairSpec) {
 		}
 		switch parent := parentNode(parents, 0).(type) {
 		case *ast.ExprStmt:
-			pass.Reportf(call.Pos(), "result of %s dropped: the %s can never be released", name, spec.what)
+			pass.Reportf(call.Pos(), "result of %s dropped: the %s can never be %s", name, spec.what, spec.verb)
 		case *ast.AssignStmt:
 			idx := -1
 			if len(parent.Rhs) == 1 && parent.Rhs[0] == ast.Expr(call) {
@@ -97,7 +99,7 @@ func checkPairs(pass *Pass, body *ast.BlockStmt, spec *pairSpec) {
 				return // stored into a field or index: handed off
 			}
 			if id.Name == "_" {
-				pass.Reportf(call.Pos(), "result of %s assigned to blank: the %s can never be released", name, spec.what)
+				pass.Reportf(call.Pos(), "result of %s assigned to blank: the %s can never be %s", name, spec.what, spec.verb)
 				return
 			}
 			a := &acquisition{call: call, name: name}
@@ -166,7 +168,7 @@ func checkPairs(pass *Pass, body *ast.BlockStmt, spec *pairSpec) {
 		case deferred:
 		case escaped:
 		case lastRelease == nil:
-			pass.Reportf(a.call.Pos(), "%s from %s is never released; release it with %s", spec.what, a.name, spec.releaseHint(varName))
+			pass.Reportf(a.call.Pos(), "%s from %s is never %s; %s", spec.what, a.name, spec.verb, spec.releaseHint(varName))
 		default:
 			reportPairEarlyReturns(pass, body, info, a.call.End(), lastRelease, releases, a.errObj, spec, a.name, varName)
 		}
@@ -216,8 +218,8 @@ func reportPairEarlyReturns(pass *Pass, body *ast.BlockStmt, info *types.Info, a
 					return // the return releases on its way out
 				}
 			}
-			pass.Reportf(ret.Pos(), "return leaks the %s from %s (released later at line %d); release it with %s",
-				spec.what, acquireName, pass.Pkg.Fset.Position(before).Line, spec.releaseHint(varName))
+			pass.Reportf(ret.Pos(), "return leaks the %s from %s (%s later at line %d); %s",
+				spec.what, acquireName, spec.verb, pass.Pkg.Fset.Position(before).Line, spec.releaseHint(varName))
 			return
 		}
 		for _, child := range childNodes(n) {
@@ -366,4 +368,60 @@ func methodOn(info *types.Info, sel *ast.SelectorExpr) (obj types.Object, recvTy
 		return nil, "", false
 	}
 	return fn, named.Obj().Name(), true
+}
+
+func objName(obj types.Object) string {
+	if obj == nil {
+		return "span"
+	}
+	return obj.Name()
+}
+
+// walkFunctionScope walks n's subtree with a parent stack, skipping
+// nested function literals (they are separate pairing scopes).
+func walkFunctionScope(body ast.Node, visit func(n ast.Node, parents []ast.Node)) {
+	var stack []ast.Node
+	var walk func(n ast.Node)
+	walk = func(n ast.Node) {
+		if n == nil {
+			return
+		}
+		if _, ok := n.(*ast.FuncLit); ok && n != body {
+			return
+		}
+		visit(n, stack)
+		stack = append(stack, n)
+		for _, child := range childNodes(n) {
+			walk(child)
+		}
+		stack = stack[:len(stack)-1]
+	}
+	walk(body)
+}
+
+// parentNode returns the i-th enclosing node from the top of the
+// parent stack.
+func parentNode(parents []ast.Node, i int) ast.Node {
+	idx := len(parents) - 1 - i
+	if idx < 0 {
+		return nil
+	}
+	return parents[idx]
+}
+
+// childNodes lists n's direct children via ast.Inspect's first level.
+func childNodes(n ast.Node) []ast.Node {
+	var out []ast.Node
+	first := true
+	ast.Inspect(n, func(m ast.Node) bool {
+		if first {
+			first = false
+			return true
+		}
+		if m != nil {
+			out = append(out, m)
+		}
+		return false
+	})
+	return out
 }

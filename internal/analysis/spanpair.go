@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -24,221 +23,54 @@ var SpanPair = &Analyzer{
 }
 
 func runSpanPair(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkSpanPairs(pass, n.Body)
-				}
-				return false
-			case *ast.FuncLit:
-				checkSpanPairs(pass, n.Body)
-				return false
-			}
-			return true
-		})
+	spec := &pairSpec{
+		what:        "span",
+		verb:        "ended",
+		acquire:     spanBegin,
+		release:     spanEnd,
+		benign:      spanMethod,
+		releaseHint: func(varName string) string { return "end it with defer " + varName + ".End()" },
 	}
+	forEachFunctionBody(pass, func(body *ast.BlockStmt) { checkPairs(pass, body, spec) })
 }
 
-// checkSpanPairs analyzes one function body, not descending into
-// nested function literals (each is its own scope for pairing).
-func checkSpanPairs(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-	// Pass 1: find Begin calls and how their results are bound.
-	type openSpan struct {
-		call *ast.CallExpr
-		obj  types.Object // bound variable, nil if dropped
-		name string
-	}
-	var spans []*openSpan
-	walkFunctionScope(body, func(n ast.Node, parents []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isSpanBegin(info, call) {
-			return
-		}
-		sp := &openSpan{call: call, name: beginName(call)}
-		switch parent := parentNode(parents, 0).(type) {
-		case *ast.ExprStmt:
-			pass.Reportf(call.Pos(), "result of %s dropped: the span can never be ended", sp.name)
-			return
-		case *ast.AssignStmt:
-			// Find which LHS the call feeds (1:1 assignments only; a
-			// Begin call is single-valued).
-			for i, rhs := range parent.Rhs {
-				if rhs != ast.Expr(call) || i >= len(parent.Lhs) {
-					continue
-				}
-				id, ok := parent.Lhs[i].(*ast.Ident)
-				if !ok {
-					return // stored into a field/index: handed off
-				}
-				if id.Name == "_" {
-					pass.Reportf(call.Pos(), "result of %s assigned to blank: the span can never be ended", sp.name)
-					return
-				}
-				if info != nil {
-					if obj := info.Defs[id]; obj != nil {
-						sp.obj = obj
-					} else if obj := info.Uses[id]; obj != nil {
-						sp.obj = obj
-					}
-				}
-				spans = append(spans, sp)
-			}
-		default:
-			// Argument, return value, struct literal, ...: the span is
-			// handed to someone else, pairing is their job.
-		}
-	})
-
-	// Pass 2: for each bound span, find End uses and escapes.
-	for _, sp := range spans {
-		if sp.obj == nil {
-			continue // no type info; cannot track soundly
-		}
-		var deferred bool
-		var lastEnd ast.Node
-		var escaped bool
-		walkFunctionScope(body, func(n ast.Node, parents []ast.Node) {
-			id, ok := n.(*ast.Ident)
-			if !ok || info.Uses[id] != sp.obj {
-				return
-			}
-			// sp.End() shapes: ident <- SelectorExpr <- CallExpr,
-			// optionally <- DeferStmt.
-			if sel, ok := parentNode(parents, 0).(*ast.SelectorExpr); ok && sel.X == ast.Expr(id) {
-				if call, ok := parentNode(parents, 1).(*ast.CallExpr); ok && call.Fun == ast.Expr(sel) {
-					if strings.HasPrefix(sel.Sel.Name, "End") {
-						if _, isDefer := parentNode(parents, 2).(*ast.DeferStmt); isDefer {
-							deferred = true
-						} else if lastEnd == nil || call.Pos() > lastEnd.Pos() {
-							lastEnd = call
-						}
-						return
-					}
-					return // other method call (AddBytes, SetWait, ...)
-				}
-			}
-			// Any other use — passed along, returned, aliased — hands
-			// the obligation off.
-			escaped = true
-		})
-		switch {
-		case deferred:
-		case escaped:
-		case lastEnd == nil:
-			pass.Reportf(sp.call.Pos(), "span from %s is never ended; add defer %s.End()", sp.name, objName(sp.obj))
-		default:
-			// Direct End only: any return between Begin and the last
-			// End leaks the span on that path.
-			reportEarlyReturns(pass, body, sp.call.End(), lastEnd.Pos(), sp.name, objName(sp.obj))
-		}
-	}
-}
-
-// reportEarlyReturns flags return statements positioned between an
-// un-deferred Begin and its final End.
-func reportEarlyReturns(pass *Pass, body *ast.BlockStmt, after, before token.Pos, beginName, varName string) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if ret.Pos() > after && ret.Pos() < before {
-			pass.Reportf(ret.Pos(), "return leaks the span from %s (ended later at line %d); end it with defer %s.End()",
-				beginName, pass.Pkg.Fset.Position(before).Line, varName)
-		}
-		return true
-	})
-}
-
-// isSpanBegin reports whether call is a Begin* method or function of a
-// trace-layer package (import path's last element "trace", matching
-// both mmjoin/internal/trace and the golden-test stubs).
-func isSpanBegin(info *types.Info, call *ast.CallExpr) bool {
+// spanBegin matches a Begin* method or function of a trace-layer
+// package (import path's last element "trace", matching both
+// mmjoin/internal/trace and the golden-test stubs).
+func spanBegin(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
+	if !ok || !strings.HasPrefix(sel.Sel.Name, "Begin") {
+		return "", false
 	}
-	if !strings.HasPrefix(sel.Sel.Name, "Begin") {
-		return false
+	if !pkgPathIs(info.Uses[sel.Sel], "trace") {
+		return "", false
 	}
-	if info == nil {
-		return false
-	}
-	obj := info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "trace" || strings.HasSuffix(path, "/trace")
+	return renderCall(sel), true
 }
 
-// beginName renders the Begin call for messages, e.g. "shard.Begin".
-func beginName(call *ast.CallExpr) string {
-	sel := call.Fun.(*ast.SelectorExpr)
-	if id, ok := sel.X.(*ast.Ident); ok {
-		return id.Name + "." + sel.Sel.Name
+// spanEnd matches sp.End*() on the tracked span, deferred or direct.
+func spanEnd(info *types.Info, id *ast.Ident, parents []ast.Node) (ast.Node, bool, bool) {
+	call, ok := spanCall(id, parents)
+	if !ok || !strings.HasPrefix(call.Fun.(*ast.SelectorExpr).Sel.Name, "End") {
+		return nil, false, false
 	}
-	return sel.Sel.Name
+	_, deferred := parentNode(parents, 2).(*ast.DeferStmt)
+	return call, deferred, true
 }
 
-func objName(obj types.Object) string {
-	if obj == nil {
-		return "span"
-	}
-	return obj.Name()
+// spanMethod keeps tracking through the span's other methods (AddBytes,
+// SetWait, ...): using the span is not ending it.
+func spanMethod(info *types.Info, id *ast.Ident, parents []ast.Node) bool {
+	_, ok := spanCall(id, parents)
+	return ok
 }
 
-// walkFunctionScope walks n's subtree with a parent stack, skipping
-// nested function literals (they are separate pairing scopes).
-func walkFunctionScope(body ast.Node, visit func(n ast.Node, parents []ast.Node)) {
-	var stack []ast.Node
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		if _, ok := n.(*ast.FuncLit); ok && n != body {
-			return
-		}
-		visit(n, stack)
-		stack = append(stack, n)
-		for _, child := range childNodes(n) {
-			walk(child)
-		}
-		stack = stack[:len(stack)-1]
+// spanCall matches a method call on the tracked span: sp.M(...).
+func spanCall(id *ast.Ident, parents []ast.Node) (*ast.CallExpr, bool) {
+	sel, ok := parentNode(parents, 0).(*ast.SelectorExpr)
+	if !ok || sel.X != ast.Expr(id) {
+		return nil, false
 	}
-	walk(body)
-}
-
-// parentNode returns the i-th enclosing node from the top of the
-// parent stack.
-func parentNode(parents []ast.Node, i int) ast.Node {
-	idx := len(parents) - 1 - i
-	if idx < 0 {
-		return nil
-	}
-	return parents[idx]
-}
-
-// childNodes lists n's direct children via ast.Inspect's first level.
-func childNodes(n ast.Node) []ast.Node {
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(m ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if m != nil {
-			out = append(out, m)
-		}
-		return false
-	})
-	return out
+	call, ok := parentNode(parents, 1).(*ast.CallExpr)
+	return call, ok && call.Fun == ast.Expr(sel)
 }

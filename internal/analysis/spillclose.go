@@ -26,12 +26,13 @@ var SpillClose = &Analyzer{
 func runSpillClose(pass *Pass) {
 	spec := &pairSpec{
 		what:        "spill writer",
+		verb:        "released",
 		acquire:     spillAcquire,
 		resultIndex: 0,
 		release:     spillRelease,
 		benign:      spillBenignUse,
 		releaseHint: func(varName string) string {
-			return varName + ".Close() (deferred, or on every exit)"
+			return "release it with " + varName + ".Close() (deferred, or on every exit)"
 		},
 	}
 	forEachFunctionBody(pass, func(body *ast.BlockStmt) { checkPairs(pass, body, spec) })

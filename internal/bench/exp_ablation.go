@@ -8,7 +8,6 @@ import (
 	"mmjoin/internal/colstore"
 	"mmjoin/internal/exec"
 	"mmjoin/internal/hashfn"
-	"mmjoin/internal/hashtable"
 	"mmjoin/internal/join"
 	"mmjoin/internal/numa"
 	"mmjoin/internal/numasim"
@@ -332,7 +331,10 @@ func init() {
 // standalone build+probe microbenchmark: the four the thirteen joins
 // use, plus the sparse dynamic table (Google-sparse-hash-style, the
 // structure Section 3.2 compares the CHT against) and Robin Hood probing
-// (from the hashing study the paper cites as [19]).
+// (from the hashing study the paper cites as [19]). Each design runs the
+// production kernels — join.BuildTable and join.ProbeTable on one
+// thread, the path perfbench's hashtable.* layers measure — and must
+// find every probe's match.
 func runAblTables(c Config) (*Report, error) {
 	n := c.paperM(16)
 	probes := n * 4
@@ -346,106 +348,26 @@ func runAblTables(c Config) (*Report, error) {
 		PaperExpectation: "CHT (and its sparse sibling) use a fraction of the linear table's memory at competitive probe cost (Barber et al.); arrays beat everything on dense keys; Robin Hood buys little at the study's 50% load factor",
 		Columns:          []string{"table", "build [ns/tuple]", "probe [ns/tuple]", "bytes/tuple"},
 	}
-	type result struct {
-		name         string
-		build, probe time.Duration
-		bytes        int64
-	}
-	var results []result
-
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.NewChainedTable(n, hashfn.Identity, nil)
-		for _, tp := range w.Build {
-			tbl.Insert(tp)
+	opts := &join.Options{Threads: 1, Domain: w.Domain}
+	for _, d := range join.TableDesigns() {
+		runtime.GC()
+		bt, err := join.BuildTable(c.Context, w.Build, d, opts)
+		if err != nil {
+			return nil, err
 		}
-		build := time.Since(start)
-		start = time.Now()
-		var matches int
-		for _, tp := range w.Probe {
-			if _, ok := tbl.Lookup(tp.Key); ok {
-				matches++
-			}
+		res, err := join.ProbeTable(c.Context, bt, w.Probe, opts)
+		bt.Release()
+		if err != nil {
+			return nil, err
 		}
-		results = append(results, result{"chained", build, time.Since(start), tbl.SizeBytes()})
-		if matches != probes {
-			return nil, fmt.Errorf("abltables: chained lost matches")
+		if res.Matches != int64(probes) {
+			return nil, fmt.Errorf("abltables: %s found %d of %d matches", d, res.Matches, probes)
 		}
-	}
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.NewLinearTable(n, 0, hashfn.Identity, nil)
-		for _, tp := range w.Build {
-			tbl.Insert(tp)
-		}
-		build := time.Since(start)
-		start = time.Now()
-		for _, tp := range w.Probe {
-			tbl.Lookup(tp.Key)
-		}
-		results = append(results, result{"linear", build, time.Since(start), tbl.SizeBytes()})
-	}
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.BuildCHT(w.Build, hashfn.Identity)
-		build := time.Since(start)
-		start = time.Now()
-		for _, tp := range w.Probe {
-			tbl.Lookup(tp.Key)
-		}
-		results = append(results, result{"cht (bulk)", build, time.Since(start), tbl.SizeBytes()})
-	}
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.NewArrayTable(0, w.Domain, nil)
-		for _, tp := range w.Build {
-			tbl.Insert(tp)
-		}
-		build := time.Since(start)
-		start = time.Now()
-		for _, tp := range w.Probe {
-			tbl.Lookup(tp.Key)
-		}
-		results = append(results, result{"array", build, time.Since(start), tbl.SizeBytes()})
-	}
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.NewSparseTable(n, hashfn.Identity)
-		for _, tp := range w.Build {
-			tbl.Insert(tp)
-		}
-		build := time.Since(start)
-		start = time.Now()
-		for _, tp := range w.Probe {
-			tbl.Lookup(tp.Key)
-		}
-		results = append(results, result{"sparse (dynamic)", build, time.Since(start), tbl.SizeBytes()})
-	}
-	runtime.GC()
-	{
-		start := time.Now()
-		tbl := hashtable.NewRobinHoodTable(n, 0, hashfn.Identity, nil)
-		for _, tp := range w.Build {
-			tbl.Insert(tp)
-		}
-		build := time.Since(start)
-		start = time.Now()
-		for _, tp := range w.Probe {
-			tbl.Lookup(tp.Key)
-		}
-		results = append(results, result{"robin hood", build, time.Since(start), tbl.SizeBytes()})
-	}
-	for _, r := range results {
 		rep.Rows = append(rep.Rows, []string{
-			r.name,
-			fmt.Sprintf("%.1f", float64(r.build.Nanoseconds())/float64(n)),
-			fmt.Sprintf("%.1f", float64(r.probe.Nanoseconds())/float64(probes)),
-			fmt.Sprintf("%.1f", float64(r.bytes)/float64(n)),
+			d.String(),
+			fmt.Sprintf("%.1f", float64(bt.BuildTime().Nanoseconds())/float64(n)),
+			fmt.Sprintf("%.1f", float64(res.ProbeOrJoin.Nanoseconds())/float64(probes)),
+			fmt.Sprintf("%.1f", float64(bt.SizeBytes())/float64(n)),
 		})
 	}
 	return rep, nil

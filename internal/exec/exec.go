@@ -190,8 +190,8 @@ func (p *Pool) SetQueueStrategy(s string) { p.stats.Queue = s }
 // (typically the algorithm name): every subsequent phase emits a
 // whole-phase span on a driver track plus per-task/per-morsel spans on
 // one track per worker, and PhaseStat.Metrics is populated. A nil
-// tracer (trace.Disabled) keeps the task loops on their untraced fast
-// path — the only cost of tracing-off is one pointer check per phase.
+// tracer (trace.Disabled) keeps every task on its untraced step — the
+// only cost of tracing-off is one nil check per task.
 func (p *Pool) SetTracer(tr *trace.Tracer, label string) {
 	if tr == nil {
 		p.tracer, p.driver, p.shards = nil, nil, nil
@@ -241,16 +241,18 @@ func (p *Pool) Stats() *Stats { return &p.stats }
 // the phase function; w.ID indexes per-worker state (chunks, sinks).
 type Worker struct {
 	// ID is the worker index in [0, Threads).
-	ID      int
-	pool    *Pool
-	tasks   int
-	counted bool
+	ID    int
+	pool  *Pool
+	tasks int
+	// split records that Morsels or a queue drain split the worker's Run
+	// chunk into finer tasks, which then stand in for the chunk.
+	split bool
 	// bytes and allocs accumulate the hot-loop counters reported via
 	// AddBytes/AddAllocs; they feed PhaseStat and the spans.
 	bytes  int64
 	allocs int64
 	// tr carries this worker's tracing state for the current phase; nil
-	// when tracing is off (the fast-path check of Morsels and RunQueue).
+	// when tracing is off.
 	tr *workerTrace
 	// slotLost records that a TryYield failed to re-acquire the gate
 	// slot (context expired between release and re-acquire): the worker
@@ -283,69 +285,121 @@ func (w *Worker) AddBytes(n int64) { w.bytes += n }
 // scratch buffers, run copies) from the worker's hot path.
 func (w *Worker) AddAllocs(n int64) { w.allocs += n }
 
+// next is the boundary check before every morsel and every queue pop:
+// the pool's context, then the gate's yield offer. It reports whether
+// the worker may run another task; a yield whose re-acquire failed
+// leaves the worker slotless.
+func (w *Worker) next() bool {
+	p := w.pool
+	if p.ctx.Err() != nil {
+		return false
+	}
+	if p.gate != nil && p.gate.TryYield(p.ctx) != nil {
+		w.slotLost = true
+		return false
+	}
+	return true
+}
+
+// noWait is the wait of a task that was not popped from a queue (a
+// morsel or a whole chunk): its span and the phase's queue-wait
+// histogram record none.
+const noWait time.Duration = -1
+
+// task runs fn as one task of the phase and counts it. Untraced, that
+// costs one nil check. With a tracer it also records the task's span —
+// its byte/alloc deltas and, for a popped task, its queue wait — and
+// feeds the latency, wait and busy accumulators. Run's whole-chunk task
+// is the one nested case: when its fn splits into morsels or queue
+// pops, those finer tasks are counted and spanned instead, and the
+// chunk's span is dropped unended (an unended OpenSpan is a free stack
+// value).
+func (w *Worker) task(id int, wait time.Duration, fn func()) {
+	split, tr := w.split, w.tr
+	if tr == nil {
+		fn()
+		if w.split == split {
+			w.tasks++
+		}
+		return
+	}
+	b0, a0 := w.bytes, w.allocs
+	sp := tr.shard.Begin(tr.phase, id)
+	fn()
+	if w.split == split {
+		w.tasks++
+		if wait != noWait {
+			sp.SetWait(wait)
+			tr.wait.Observe(wait)
+		}
+		sp.AddBytes(w.bytes - b0)
+		sp.AddAllocs(w.allocs - a0)
+		d := sp.End()
+		tr.busy += d
+		tr.lat.Observe(d)
+	}
+}
+
+// pop pops q's next task. With a tracer the pop is timed: that is the
+// task's queue wait.
+func (w *Worker) pop(q Queue) (task int, wait time.Duration, ok bool) {
+	if w.tr == nil {
+		task, ok = q.Pop()
+		return task, 0, ok
+	}
+	start := time.Now()
+	task, ok = q.Pop()
+	return task, time.Since(start), ok
+}
+
 // Morsels iterates [0, n) in MorselTuples strides, calling fn(begin,
 // end) per stride with a cancellation check in between. It returns
 // false if the phase was cancelled before covering all of n. Each
 // stride counts as one executed task in the phase stats; with a tracer
 // attached every stride emits one span.
 func (w *Worker) Morsels(n int, fn func(begin, end int)) bool {
-	w.counted = true
-	if w.tr != nil {
-		return w.morselsTraced(n, fn)
-	}
-	ctx := w.pool.ctx
-	gate := w.pool.gate
+	w.split = true
 	for begin := 0; begin < n; begin += MorselTuples {
-		if ctx.Err() != nil {
+		if !w.next() {
 			return false
 		}
-		if gate.TryYield(ctx) != nil {
-			w.slotLost = true
-			return false
-		}
-		end := begin + MorselTuples
-		if end > n {
-			end = n
-		}
-		w.tasks++
-		fn(begin, end)
+		end := min(begin+MorselTuples, n)
+		w.task(begin/MorselTuples, noWait, func() { fn(begin, end) })
 	}
 	return true
 }
 
-// morselsTraced is the tracing variant of Morsels: identical control
-// flow plus one span (with byte/alloc deltas) per stride. The span is
-// a stack-held trace.OpenSpan, so steady-state tracing performs no
-// allocation beyond the shard's amortized span append.
-func (w *Worker) morselsTraced(n int, fn func(begin, end int)) bool {
-	ctx := w.pool.ctx
-	gate := w.pool.gate
-	tr := w.tr
-	stride := 0
-	for begin := 0; begin < n; begin += MorselTuples {
-		if ctx.Err() != nil {
-			return false
-		}
-		if gate.TryYield(ctx) != nil {
-			w.slotLost = true
-			return false
-		}
-		end := begin + MorselTuples
-		if end > n {
-			end = n
-		}
-		w.tasks++
-		b0, a0 := w.bytes, w.allocs
-		sp := tr.shard.Begin(tr.phase, stride)
-		fn(begin, end)
-		sp.AddBytes(w.bytes - b0)
-		sp.AddAllocs(w.allocs - a0)
-		d := sp.End()
-		tr.busy += d
-		tr.lat.Observe(d)
-		stride++
+// phaseRun is one phase in flight: what begin sets up and end records.
+type phaseRun struct {
+	name    string
+	start   time.Time
+	span    trace.OpenSpan // the driver track's whole-phase span
+	workers []Worker
+}
+
+// begin sets up a phase the same way in every execution mode: the
+// context check, the phase hook, the start time, the driver's
+// whole-phase span and the workers with their tracing state.
+func (p *Pool) begin(name string) (phaseRun, error) {
+	if err := p.ctx.Err(); err != nil {
+		return phaseRun{}, err
 	}
-	return true
+	if p.phaseHook != nil {
+		p.phaseHook(name)
+	}
+	ph := phaseRun{name: name, start: time.Now(), span: p.driver.Begin(name, -1),
+		workers: make([]Worker, p.threads)}
+	for i := range ph.workers {
+		ph.workers[i] = Worker{ID: i, pool: p}
+	}
+	if p.tracer != nil {
+		traces := make([]workerTrace, p.threads)
+		for i := range traces {
+			traces[i] = workerTrace{shard: p.shards[i], phase: name}
+			ph.workers[i].tr = &traces[i]
+		}
+	}
+	return ph, nil
 }
 
 // Run executes fn once per worker (the fork/join shape of the
@@ -354,44 +408,21 @@ func (w *Worker) morselsTraced(n int, fn func(begin, end int)) bool {
 // workers are expected to poll cancellation via Morsels or Cancelled.
 // With one worker the phase runs inline on the caller's goroutine.
 func (p *Pool) Run(phase string, fn func(w *Worker)) error {
-	if err := p.ctx.Err(); err != nil {
+	ph, err := p.begin(phase)
+	if err != nil {
 		return err
 	}
-	if p.phaseHook != nil {
-		p.phaseHook(phase)
-	}
-	start := time.Now()
-	phaseSpan := p.driver.Begin(phase, -1)
-	workers := p.makeWorkers(phase)
-	call := fn
-	if p.tracer != nil {
-		// Workers that never enter Morsels or a queue drain (plain
-		// fork/join chunk work) still get one whole-chunk span; workers
-		// that did record finer spans drop the open whole-chunk span
-		// unended (an unended OpenSpan is a free stack value).
-		call = func(w *Worker) {
-			tr := w.tr
-			sp := tr.shard.Begin(tr.phase, -1)
-			fn(w)
-			if !w.counted {
-				sp.AddBytes(w.bytes)
-				sp.AddAllocs(w.allocs)
-				d := sp.End()
-				tr.busy += d
-				tr.lat.Observe(d)
-			}
-		}
-	}
+	workers := ph.workers
 	switch {
 	case p.sched != nil:
 		// Deterministic replay: workers run sequentially on the driver
 		// goroutine in schedule order.
 		for _, i := range p.sched.WorkerOrder(p.threads) {
-			call(&workers[i])
+			workers[i].chunk(fn)
 		}
 	case p.threads == 1:
 		if p.gate.Acquire(p.ctx) == nil {
-			call(&workers[0])
+			workers[0].chunk(fn)
 			if !workers[0].slotLost {
 				p.gate.Release()
 			}
@@ -405,7 +436,7 @@ func (p *Pool) Run(phase string, fn func(w *Worker)) error {
 				if p.gate.Acquire(p.ctx) != nil {
 					return
 				}
-				// The worker may lose its slot inside call (a TryYield
+				// The worker may lose its slot inside chunk (a TryYield
 				// whose re-acquire raced a cancelled context): releasing
 				// here again would over-credit the gate.
 				defer func() {
@@ -413,65 +444,55 @@ func (p *Pool) Run(phase string, fn func(w *Worker)) error {
 						p.gate.Release()
 					}
 				}()
-				call(w)
+				w.chunk(fn)
 			}(&workers[i])
 		}
 		wg.Wait()
 	}
-	p.record(phase, start, phaseSpan, workers)
-	return p.ctx.Err()
+	return p.end(&ph)
 }
 
-// makeWorkers builds the per-phase worker slice, attaching tracing
-// state when a tracer is set. The workerTrace values live through the
-// Worker.tr pointers.
-func (p *Pool) makeWorkers(phase string) []Worker {
-	workers := make([]Worker, p.threads)
-	for i := range workers {
-		workers[i] = Worker{ID: i, pool: p}
-	}
-	if p.tracer != nil {
-		traces := make([]workerTrace, p.threads)
-		for i := range workers {
-			traces[i] = workerTrace{shard: p.shards[i], phase: phase}
-			workers[i].tr = &traces[i]
-		}
-	}
-	return workers
-}
+// chunk runs a Run worker's whole body as one task — the fork/join
+// chunk — unless fn splits it into morsels or queue pops.
+func (w *Worker) chunk(fn func(w *Worker)) { w.task(-1, noWait, func() { fn(w) }) }
 
 // RunQueue drains q with all workers: each worker loops popping task
 // ids and calling fn until the queue is empty or the pool is cancelled.
 // Cancellation is checked before every pop, so a cancelled phase stops
 // after at most one task per worker.
+//
+// Under a deterministic schedule the driver goroutine pops the tasks
+// one at a time and hands each to the schedule-chosen worker,
+// interleaving task execution across workers exactly as the seed
+// dictates. Replays ignore the gate, so their boundary check is the
+// context alone.
 func (p *Pool) RunQueue(phase string, q Queue, fn func(w *Worker, task int)) error {
-	if p.sched != nil {
-		return p.runQueueScheduled(phase, q, fn)
+	if p.sched == nil {
+		return p.Run(phase, func(w *Worker) {
+			w.split = true
+			for w.next() {
+				t, wait, ok := w.pop(q)
+				if !ok {
+					return
+				}
+				w.task(t, wait, func() { fn(w, t) })
+			}
+		})
 	}
-	return p.Run(phase, func(w *Worker) {
-		w.counted = true
-		if w.tr != nil {
-			w.drainTraced(q, fn)
-			return
+	ph, err := p.begin(phase)
+	if err != nil {
+		return err
+	}
+	for p.ctx.Err() == nil {
+		t, ok := q.Pop()
+		if !ok {
+			break
 		}
-		ctx := p.ctx
-		gate := p.gate
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			if gate.TryYield(ctx) != nil {
-				w.slotLost = true
-				return
-			}
-			t, ok := q.Pop()
-			if !ok {
-				return
-			}
-			w.tasks++
-			fn(w, t)
-		}
-	})
+		// The driver popped on the worker's behalf: it waited for nothing.
+		w := &ph.workers[p.sched.NextWorker(p.threads)]
+		w.task(t, 0, func() { fn(w, t) })
+	}
+	return p.end(&ph)
 }
 
 // RunQueueErr is RunQueue for phases whose tasks can fail (spill I/O):
@@ -503,111 +524,29 @@ func (p *Pool) RunQueueErr(phase string, q Queue, fn func(w *Worker, task int) e
 	return first
 }
 
-// runQueueScheduled is RunQueue under a deterministic schedule: the
-// driver goroutine pops tasks one at a time and hands each to the
-// schedule-chosen worker, interleaving task execution across workers
-// exactly as the seed dictates. All of Run's bookkeeping (phase span,
-// stats entry, metrics) is preserved.
-func (p *Pool) runQueueScheduled(phase string, q Queue, fn func(w *Worker, task int)) error {
-	if err := p.ctx.Err(); err != nil {
-		return err
-	}
-	if p.phaseHook != nil {
-		p.phaseHook(phase)
-	}
-	start := time.Now()
-	phaseSpan := p.driver.Begin(phase, -1)
-	workers := p.makeWorkers(phase)
-	for i := range workers {
-		workers[i].counted = true
-	}
-	for p.ctx.Err() == nil {
-		t, ok := q.Pop()
-		if !ok {
-			break
-		}
-		w := &workers[p.sched.NextWorker(p.threads)]
-		w.tasks++
-		if tr := w.tr; tr != nil {
-			b0, a0 := w.bytes, w.allocs
-			sp := tr.shard.Begin(tr.phase, t)
-			fn(w, t)
-			sp.AddBytes(w.bytes - b0)
-			sp.AddAllocs(w.allocs - a0)
-			d := sp.End()
-			tr.busy += d
-			tr.lat.Observe(d)
-			tr.wait.Observe(0)
-		} else {
-			fn(w, t)
-		}
-	}
-	p.record(phase, start, phaseSpan, workers)
-	return p.ctx.Err()
-}
-
-// drainTraced is the tracing variant of the RunQueue worker loop: every
-// popped task emits one span carrying its queue wait and byte/alloc
-// deltas.
-func (w *Worker) drainTraced(q Queue, fn func(w *Worker, task int)) {
-	ctx := w.pool.ctx
-	gate := w.pool.gate
-	tr := w.tr
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if gate.TryYield(ctx) != nil {
-			w.slotLost = true
-			return
-		}
-		popStart := time.Now()
-		t, ok := q.Pop()
-		if !ok {
-			return
-		}
-		w.tasks++
-		b0, a0 := w.bytes, w.allocs
-		wait := time.Since(popStart)
-		sp := tr.shard.Begin(tr.phase, t)
-		sp.SetWait(wait)
-		fn(w, t)
-		sp.AddBytes(w.bytes - b0)
-		sp.AddAllocs(w.allocs - a0)
-		d := sp.End()
-		tr.busy += d
-		tr.lat.Observe(d)
-		tr.wait.Observe(wait)
-	}
-}
-
-// record appends the phase's stats entry and closes the driver-track
-// span opened at phase start (inert when tracing is off).
-func (p *Pool) record(phase string, start time.Time, phaseSpan trace.OpenSpan, workers []Worker) {
+// end records the phase — its stats entry, and the driver span it
+// closes (inert when tracing is off) — and returns the context error.
+func (p *Pool) end(ph *phaseRun) error {
+	workers := ph.workers
 	st := PhaseStat{
-		Name:           phase,
-		Wall:           time.Since(start),
+		Name:           ph.name,
+		Wall:           time.Since(ph.start),
 		TasksPerWorker: make([]int, len(workers)),
 	}
 	for i := range workers {
-		n := workers[i].tasks
-		if !workers[i].counted {
-			// A plain fork/join worker that tracked no morsels still
-			// executed its one chunk.
-			n = 1
-		}
-		st.TasksPerWorker[i] = n
-		st.Tasks += n
+		st.TasksPerWorker[i] = workers[i].tasks
+		st.Tasks += workers[i].tasks
 		st.Bytes += workers[i].bytes
 		st.Allocs += workers[i].allocs
 	}
 	if p.tracer != nil {
 		st.Metrics = phaseMetrics(workers, st.Wall)
 	}
-	phaseSpan.AddBytes(st.Bytes)
-	phaseSpan.AddAllocs(st.Allocs)
-	phaseSpan.End()
+	ph.span.AddBytes(st.Bytes)
+	ph.span.AddAllocs(st.Allocs)
+	ph.span.End()
 	p.stats.Phases = append(p.stats.Phases, st)
+	return p.ctx.Err()
 }
 
 // phaseMetrics folds the workers' per-phase tracing state into the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"mmjoin/internal/trace"
@@ -198,8 +199,8 @@ func TestTracedPoolExportsValidTraceEvents(t *testing.T) {
 func touchMorsel(sink *int64, begin, end int) { *sink += int64(end - begin) }
 
 // BenchmarkMorselsTracingOff guards the zero-overhead claim: with
-// tracing off the only cost vs the pre-tracing loop is one nil check
-// per Morsels call.
+// tracing off the only cost of the tracing layer is one nil check per
+// morsel.
 func BenchmarkMorselsTracingOff(b *testing.B) {
 	pool := NewPool(context.Background(), 1)
 	var sink int64
@@ -225,6 +226,86 @@ func BenchmarkMorselsTracingOn(b *testing.B) {
 			w.Morsels(MorselTuples*64, func(begin, end int) {
 				touchMorsel(&sink, begin, end)
 			})
+		})
+	}
+}
+
+// TestTracingLeavesStatsUnchanged runs each task shape — fork/join
+// chunks, Run with Morsels, the concurrent queue drain and the
+// scheduled drain — once untraced and once traced, and requires the
+// same task, byte and alloc counts from both: the tracer adds spans and
+// metrics, never work. The traced run must record one span per task
+// plus the driver's phase span, and a queue wait for queue tasks only.
+func TestTracingLeavesStatsUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		threads int
+		sched   bool
+		queue   bool
+		run     func(p *Pool) error
+	}{
+		{name: "fork", threads: 3, run: func(p *Pool) error {
+			return p.Run("phase", func(w *Worker) {
+				w.AddBytes(int64(10 * (w.ID + 1)))
+				w.AddAllocs(1)
+			})
+		}},
+		{name: "morsels", threads: 3, run: func(p *Pool) error {
+			return p.Run("phase", func(w *Worker) {
+				// Worker 0 walks nothing, worker 2 ends on a short stride.
+				w.Morsels(w.ID*MorselTuples+w.ID/2*7, func(begin, end int) {
+					w.AddBytes(int64(end - begin))
+					w.AddAllocs(1)
+				})
+			})
+		}},
+		{name: "queue", threads: 1, queue: true, run: func(p *Pool) error {
+			return p.RunQueue("phase", NewRange(9), func(w *Worker, task int) {
+				w.AddBytes(int64(task))
+				w.AddAllocs(2)
+			})
+		}},
+		{name: "scheduled", threads: 4, sched: true, queue: true, run: func(p *Pool) error {
+			return p.RunQueue("phase", NewRange(23), func(w *Worker, task int) {
+				w.AddBytes(int64(task))
+				w.AddAllocs(2)
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stat := func(tr *trace.Tracer) PhaseStat {
+				pool := NewPool(context.Background(), tc.threads)
+				pool.SetTracer(tr, tc.name)
+				if tc.sched {
+					pool.SetSchedule(NewSeededSchedule(3))
+				}
+				if err := tc.run(pool); err != nil {
+					t.Fatal(err)
+				}
+				return pool.Stats().Phases[0]
+			}
+			tr := trace.New()
+			off, on := stat(nil), stat(tr)
+			if off.Tasks != on.Tasks || fmt.Sprint(off.TasksPerWorker) != fmt.Sprint(on.TasksPerWorker) ||
+				off.Bytes != on.Bytes || off.Allocs != on.Allocs {
+				t.Fatalf("untraced tasks=%d %v bytes=%d allocs=%d, traced tasks=%d %v bytes=%d allocs=%d",
+					off.Tasks, off.TasksPerWorker, off.Bytes, off.Allocs,
+					on.Tasks, on.TasksPerWorker, on.Bytes, on.Allocs)
+			}
+			if got := len(tr.Spans()); got != on.Tasks+1 {
+				t.Fatalf("%d spans, want %d tasks + 1 phase span", got, on.Tasks)
+			}
+			m := on.Metrics
+			if m.TaskLatency.Count() != int64(on.Tasks) {
+				t.Fatalf("task latency count %d, want %d", m.TaskLatency.Count(), on.Tasks)
+			}
+			wantWaits := int64(0)
+			if tc.queue {
+				wantWaits = int64(on.Tasks)
+			}
+			if m.QueueWait.Count() != wantWaits {
+				t.Fatalf("queue wait count %d, want %d", m.QueueWait.Count(), wantWaits)
+			}
 		})
 	}
 }

@@ -58,9 +58,6 @@ func (t *ArrayTable) Free() {
 	t.present = nil
 }
 
-// Domain returns the covered key-range width.
-func (t *ArrayTable) Domain() int { return len(t.payloads) }
-
 // Insert stores one tuple. Inserting distinct keys is safe concurrently
 // without synchronization apart from the presence bitmap, which is
 // updated with a per-word read-modify-write; the paper's array joins

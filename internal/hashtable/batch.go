@@ -1037,7 +1037,7 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 		return
 	}
 	array := t.array
-	mask := t.mask
+	mask, spread := t.mask, t.spread
 	gmask := uint64(len(groups) - 1)
 	bucketCount := mask + 1
 	pfd := t.pfDist()
@@ -1046,9 +1046,9 @@ func (t *CHT) LookupBatch(keys []tuple.Key, s *BatchScratch, payloads []tuple.Pa
 	nc := 0
 	for li := 0; li < n; li++ {
 		if p := li + pfd; pfd > 0 && p < n {
-			pf(unsafe.Pointer(&groups[(((h[p&(BatchSize-1)]<<chtBucketShift)&mask)>>5)&gmask]))
+			pf(unsafe.Pointer(&groups[(((h[p&(BatchSize-1)]<<spread)&mask)>>5)&gmask]))
 		}
-		pos := (h[li] << chtBucketShift) & mask
+		pos := (h[li] << spread) & mask
 		h[li] = pos
 		slots[li] = pos
 		payloads[li] = 0

@@ -22,15 +22,3 @@ const (
 	// CHTOpBytes: the bitmap word's line plus the dense payload line.
 	CHTOpBytes = 2 * tuple.CacheLineBytes
 )
-
-// OpBytes returns the modeled per-operation traffic of the table.
-func (t *ChainedTable) OpBytes() int64 { return ChainedOpBytes }
-
-// OpBytes returns the modeled per-operation traffic of the table.
-func (t *LinearTable) OpBytes() int64 { return LinearOpBytes }
-
-// OpBytes returns the modeled per-operation traffic of the table.
-func (t *ArrayTable) OpBytes() int64 { return ArrayOpBytes }
-
-// OpBytes returns the modeled per-operation traffic of the table.
-func (t *CHT) OpBytes() int64 { return CHTOpBytes }

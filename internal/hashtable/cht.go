@@ -27,7 +27,14 @@ type CHT struct {
 	overflow map[tuple.Key][]tuple.Payload
 	mask     uint64 // bucketCount - 1
 	hash     hashfn.Hash
-	n        int
+	// spread is the shift that spreads a hash over the 8n buckets: a
+	// key's home is (hash << spread) & mask. The identity hash spreads
+	// by chtBucketShift, so a dense key k sits at exactly 8k. A
+	// scrambler's low bits are already uniform, so it spreads by 0:
+	// shifted, its n keys would share n home buckets, every one a
+	// multiple of 8.
+	spread uint8
+	n      int
 
 	// Match-tracking state (empty until EnableMatchTracking): a mark bitmap
 	// over the dense array, plus a flattened index of the overflow map so
@@ -56,10 +63,9 @@ type chtGroup struct {
 }
 
 // chtBucketsPerTuple is the bitmap over-provisioning factor: the paper's
-// CHT uses a bitmap of size 8*n. A key's home bucket is its hash shifted
-// left by chtBucketShift, so a hash uniform over n slots is uniform over
-// the 8n buckets and the identity hash stays collision-free for dense
-// keys.
+// CHT uses a bitmap of size 8*n. The identity hash shifts a key left by
+// chtBucketShift to reach its home bucket (see CHT.spread), so it stays
+// collision-free for dense keys.
 const (
 	chtBucketShift     = 3
 	chtBucketsPerTuple = 1 << chtBucketShift
@@ -100,7 +106,7 @@ func BuildCHT(rel tuple.Relation, hash hashfn.Hash) *CHT {
 //
 //mmjoin:hotpath
 //mmjoin:inline
-func (t *CHT) bucketOf(k tuple.Key) uint64 { return (t.hash.Scalar(k) << chtBucketShift) & t.mask }
+func (t *CHT) bucketOf(k tuple.Key) uint64 { return (t.hash.Scalar(k) << t.spread) & t.mask }
 
 // Lookup implements Table, marking the hit while tracking is on.
 func (t *CHT) Lookup(k tuple.Key) (tuple.Payload, bool) {
@@ -226,6 +232,7 @@ func NewCHTBuilder(n, regions int, hash hashfn.Hash, a *exec.Arena) *CHTBuilder 
 			overflow: make(map[tuple.Key][]tuple.Payload),
 			mask:     uint64(bucketCount - 1),
 			hash:     hash,
+			spread:   chtSpread(hash),
 			a:        a,
 		},
 		regions: regions,
@@ -233,6 +240,14 @@ func NewCHTBuilder(n, regions int, hash hashfn.Hash, a *exec.Arena) *CHTBuilder 
 		n:       n,
 		loads:   make([]chtLoad, regions),
 	}
+}
+
+// chtSpread returns the hash's spread (see CHT.spread).
+func chtSpread(hash hashfn.Hash) uint8 {
+	if hash == hashfn.Identity {
+		return chtBucketShift
+	}
+	return 0
 }
 
 // allocate draws the bitmap groups (zeroed) and the dense array. The

@@ -269,3 +269,26 @@ func TestCHTDenseIdentityRegionsBalanced(t *testing.T) {
 	}
 	checkCHTLayout(t, b, cht, input)
 }
+
+// TestCHTScrambledHomesSpread pins the spread of a scrambling hash: homes
+// cover all eight residues mod 8, so n keys spread over the 8n buckets
+// instead of sharing the n multiples of 8.
+func TestCHTScrambledHomesSpread(t *testing.T) {
+	const n = 1 << 14
+	input := denseTuples(n)
+	for _, h := range []hashfn.Hash{hashfn.Multiplicative, hashfn.Murmur, hashfn.CRC} {
+		t.Run(h.String(), func(t *testing.T) {
+			b, cht := buildCHTRegions(input, 16, h)
+			var perResidue [chtBucketsPerTuple]int
+			for _, tp := range input {
+				perResidue[cht.bucketOf(tp.Key)%chtBucketsPerTuple]++
+			}
+			for r, c := range perResidue {
+				if c < n/16 {
+					t.Errorf("residue %d holds %d homes, want at least %d: %v", r, c, n/16, perResidue)
+				}
+			}
+			checkCHTLayout(t, b, cht, input)
+		})
+	}
+}

@@ -129,7 +129,7 @@ func TestTracerOffLeavesResultClean(t *testing.T) {
 // BenchmarkPROTracing quantifies the tracing overhead against the
 // BenchmarkPROWarmArena-class baseline: "off" must stay within noise of
 // a build without the tracing layer (the only added cost is one nil
-// check per phase loop), "on" shows the cost of per-task spans.
+// check per task), "on" shows the cost of per-task spans.
 func BenchmarkPROTracing(b *testing.B) {
 	w, err := datagen.Generate(datagen.Config{BuildSize: 1 << 15, ProbeSize: 1 << 17, Seed: 12})
 	if err != nil {
